@@ -21,11 +21,12 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
+from itertools import product
 
 from . import envs, simulator
 from .bounds import regret_bound, rmax_bound
 from .policies import PolicyConfig
-from .schedules import ADAPTIVE_RATIO, GEOMETRIC, Schedule, polylog, polylog_rounds_bound, rounds_to_precision
+from .schedules import GEOMETRIC, Schedule, polylog, polylog_rounds_bound, rounds_to_precision
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -85,10 +86,7 @@ def default_config() -> ExperimentConfig:
 
 # -- policy / instance spec strings ------------------------------------------
 
-_POLICY_RE = re.compile(
-    r"^(?P<name>constspace|doubling|ucb1)"
-    r"(?:-(?P<sched>geometric|adaptive|polylog(?:\((?P<eps>[0-9.eE+-]+)\))?))?$"
-)
+_POLICY_RE = re.compile(r"^(?P<name>constspace|doubling|ucb1)(?:-(?P<sched>.+))?$")
 
 
 def parse_policy_spec(text: str) -> PolicyConfig:
@@ -96,23 +94,13 @@ def parse_policy_spec(text: str) -> PolicyConfig:
     m = _POLICY_RE.match(text.strip())
     if not m:
         raise ConfigError(f"policy.names: cannot parse policy spec {text!r}")
-    name = m.group("name")
-    sched = m.group("sched")
-    if sched is None:
-        schedule = GEOMETRIC
-    elif sched == "geometric":
-        schedule = GEOMETRIC
-    elif sched == "adaptive":
-        schedule = ADAPTIVE_RATIO
-    else:
-        eps = m.group("eps")
-        try:
-            schedule = polylog(float(eps) if eps is not None else 0.5)
-        except ValueError as exc:
-            raise ConfigError(f"policy.names: {exc}") from exc
+    name, sched = m.group("name"), m.group("sched")
     if name == "ucb1" and sched is not None:
         raise ConfigError("policy.names: ucb1 takes no schedule")
-    return PolicyConfig(name, schedule)
+    try:
+        return PolicyConfig(name, GEOMETRIC if sched is None else Schedule.parse(sched))
+    except ValueError as exc:
+        raise ConfigError(f"policy.names: {exc}") from exc
 
 
 def policy_spec_string(cfg: PolicyConfig) -> str:
@@ -515,8 +503,7 @@ def schedule_grid_ok(out=None) -> bool:
 
 def cmd_verify(args) -> int:
     cfg = resolve_config(args)
-    policies = [p for p in cfg.policies if p.name in ("constspace", "doubling")]
-    if not policies:
+    if all(p.name == "ucb1" for p in cfg.policies):
         raise ConfigError("policy.names: verify needs a round-based policy")
     instance = build_instance(cfg)
     if instance.delta_min is None:
@@ -525,22 +512,24 @@ def cmd_verify(args) -> int:
     clean_runs = 0
     episodes = 0
     failures = []
-    for policy in policies:
-        for horizon in cfg.horizons:
-            for k in range(cfg.n_seeds):
-                seed = cfg.base_seed + episodes  # one episode stream per seed slot
-                trace = simulator.run_episode(policy, instance, horizon, seed, action_log=False)
-                report = simulator.check_lemma_assertions(trace, instance, policy)
-                episodes += 1
-                clean_runs += 1 if report.clean_event else 0
-                for check in report.checks:
-                    if check.vacuous:
-                        tallies[check.name][2] += 1
-                    elif check.passed:
-                        tallies[check.name][0] += 1
-                    else:
-                        tallies[check.name][1] += 1
-                        failures.append(f"{check.name}: {check.detail}")
+    # Cells are numbered over the full policy x horizon grid, as in ``run``,
+    # so a round-based cell verifies the seeds ``run`` gives it.
+    for index, (policy, horizon) in enumerate(product(cfg.policies, cfg.horizons)):
+        if policy.name == "ucb1":
+            continue
+        for seed in simulator._cell_seeds(cfg.base_seed, index, cfg.n_seeds):
+            trace = simulator.run_episode(policy, instance, horizon, seed)
+            report = simulator.check_lemma_assertions(trace, instance, policy)
+            episodes += 1
+            clean_runs += 1 if report.clean_event else 0
+            for check in report.checks:
+                if check.vacuous:
+                    tallies[check.name][2] += 1
+                elif check.passed:
+                    tallies[check.name][0] += 1
+                else:
+                    tallies[check.name][1] += 1
+                    failures.append(f"{check.name}: {check.detail}")
     print(f"episodes: {episodes}, clean: {clean_runs}")
     for name, (passed, failed, vacuous) in tallies.items():
         line = f"{name}: {passed}/{passed + failed} pass"
@@ -609,7 +598,10 @@ def cmd_bounds(args) -> int:
         raise ConfigError(f"instance: {exc}") from exc
     if instance.delta_min is None:
         raise ConfigError("instance: all gaps zero; bounds are undefined")
-    schedule = _parse_schedule(args.schedule)
+    try:
+        schedule = Schedule.parse(args.schedule)
+    except ValueError as exc:
+        raise ConfigError(f"--schedule: {exc}") from exc
     if args.T < 2:
         raise ConfigError("--T: horizon must be >= 2")
     bound = regret_bound(instance.gap_profile, args.T, schedule)
@@ -619,21 +611,6 @@ def cmd_bounds(args) -> int:
     print(f"regret bound value: {_fmt_float(bound)}")
     print(f"round-count cap: {cap}")
     return EXIT_OK
-
-
-def _parse_schedule(text: str) -> Schedule:
-    text = text.strip()
-    if text == "geometric":
-        return GEOMETRIC
-    if text == "adaptive":
-        return ADAPTIVE_RATIO
-    m = re.match(r"^polylog(?:\(([0-9.eE+-]+)\))?$", text)
-    if m:
-        try:
-            return polylog(float(m.group(1)) if m.group(1) else 0.5)
-        except ValueError as exc:
-            raise ConfigError(f"--schedule: {exc}") from exc
-    raise ConfigError(f"--schedule: cannot parse {text!r}")
 
 
 # -- entry point ----------------------------------------------------------------

@@ -8,8 +8,12 @@ machine-word registers retained between steps.
 The round-based constant-space policy scans arms one at a time at a target
 half-width ``g``, keeping only the best and second-best round means plus
 the previous round's reference. Its register count is a fixed constant
-regardless of the number of arms; the UCB1 baseline keeps per-arm tables
-and exists to exhibit the Theta(K) contrast in the memory audit.
+regardless of the number of arms, and ``__slots__`` holds it to that: an
+attribute outside the declared registers and configuration cannot be set.
+A finished round is reported as a ``RoundRecord``; the harness adds the
+per-arm pull tallies that the policy does not keep. The UCB1 baseline keeps
+per-arm tables and exists to exhibit the Theta(K) contrast in the memory
+audit.
 """
 
 from __future__ import annotations
@@ -56,12 +60,14 @@ class PolicyConfig:
 
 
 @dataclass(frozen=True)
-class RoundClose:
-    """Snapshot of a finished scan round, emitted by ``observe``.
+class RoundRecord:
+    """One finished scan round, emitted by ``observe``.
 
     ``event`` is ROUND_DONE when the policy moves on to a finer round and
     COMMITTED when it enters the exploitation phase. Fields carry the
-    closing round's values, taken before any reset.
+    closing round's values, taken before any reset. ``level`` (the doubling
+    level) and ``pulls`` (per-arm pulls in the round) are O(K) or wrapper
+    facts the policy does not hold; the harness fills them in.
     """
 
     event: str
@@ -75,6 +81,8 @@ class RoundClose:
     second: int | None
     mean_second: float
     separated: bool
+    level: int = 0
+    pulls: tuple[int, ...] = ()
 
 
 class ConstSpacePolicy:
@@ -117,6 +125,7 @@ class ConstSpacePolicy:
         "survivors",
         "separated",
     )
+    __slots__ = REGISTERS + ("n_arms", "schedule")
 
     def __init__(
         self,
@@ -174,8 +183,8 @@ class ConstSpacePolicy:
         """Consume the reward of the arm ``select_arm`` returned.
 
         Returns CONTINUE, RULED_OUT or ARM_DONE for mid-round transitions,
-        or a RoundClose when the observation finished a round. A rule-out
-        on the round's final arm is reported through the RoundClose.
+        or a RoundRecord when the observation finished a round. A rule-out
+        on the round's final arm is reported through the RoundRecord.
         """
         if not 0.0 <= reward <= 1.0:
             raise ValueError(f"reward must lie in [0, 1], got {reward!r}")
@@ -214,17 +223,15 @@ class ConstSpacePolicy:
 
     def _finish_round(self):
         separated = self.mean_best - self.g / 2.0 > self.mean_second + self.g / 2.0
-        if separated or self.t >= self.horizon:
+        commit = separated or self.t >= self.horizon
+        record = RoundRecord(
+            COMMITTED if commit else ROUND_DONE, self.r, self.g, self.g_prev, self.budget,
+            self.delta, self.best, self.mean_best, self.second, self.mean_second, separated,
+        )
+        if commit:
             self.phase = EXPLOIT
             self.separated = separated
-            return RoundClose(
-                COMMITTED, self.r, self.g, self.g_prev, self.budget, self.delta,
-                self.best, self.mean_best, self.second, self.mean_second, separated,
-            )
-        close = RoundClose(
-            ROUND_DONE, self.r, self.g, self.g_prev, self.budget, self.delta,
-            self.best, self.mean_best, self.second, self.mean_second, False,
-        )
+            return record
         self.prev_best = self.best
         self.prev_mean = self.mean_best
         fraction = None
@@ -242,7 +249,7 @@ class ConstSpacePolicy:
         self.second = None
         self.mean_second = 0.0
         self.survivors = 0
-        return close
+        return record
 
     def advance_exploitation(self, steps: int) -> None:
         """Skip ``steps`` exploitation pulls in bulk; rewards received while
@@ -265,6 +272,10 @@ class DoublingPolicy:
     """
 
     INITIAL_HORIZON = 10
+    # Registers on top of the inner policy's; n_arms, schedule and the inner
+    # policy itself are configuration and delegated state.
+    REGISTERS = ("level", "level_horizon", "t_total")
+    __slots__ = REGISTERS + ("n_arms", "schedule", "inner")
 
     def __init__(self, n_arms: int, schedule: Schedule = GEOMETRIC):
         if n_arms < 1:
@@ -297,8 +308,7 @@ class DoublingPolicy:
         return report
 
     def state_words(self) -> int:
-        # level, level_horizon and t_total on top of the inner registers
-        return self.inner.state_words() + 3
+        return self.inner.state_words() + len(self.REGISTERS)
 
 
 class Ucb1Policy:

@@ -12,6 +12,7 @@ previous round.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 _ITERATION_CAP = 10**6
@@ -37,6 +38,18 @@ class Schedule:
         if self.kind == "polylog":
             return f"polylog({self.epsilon:g})"
         return self.kind
+
+    @classmethod
+    def parse(cls, text: str) -> "Schedule":
+        """Inverse of ``label()``: 'geometric', 'adaptive', 'polylog(eps)', or a
+        bare 'polylog' meaning 'polylog(0.5)'. Raises ValueError otherwise."""
+        m = re.fullmatch(r"(geometric|adaptive|polylog)(?:\((.*)\))?", text.strip())
+        if m is None:
+            raise ValueError(f"unknown schedule {text!r}")
+        kind, eps = m.groups()
+        if eps is not None:
+            return cls(kind, float(eps))
+        return cls(kind, 0.5 if kind == "polylog" else None)
 
 
 GEOMETRIC = Schedule("geometric")

@@ -11,8 +11,9 @@ the round-based policy are checked only on clean episodes.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 from statistics import fmean, stdev
 
@@ -24,29 +25,9 @@ from .policies import (
     ConstSpacePolicy,
     DoublingPolicy,
     PolicyConfig,
-    RoundClose,
+    RoundRecord,
     make_policy,
 )
-
-ACTION_LOG_MAX = 100_000
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    """Harness-side record of one completed scan round."""
-
-    r: int
-    level: int
-    g: float
-    g_prev: float
-    budget: int
-    delta: float
-    pulls: tuple[int, ...]
-    best: int
-    mean_best: float
-    second: int | None
-    mean_second: float
-    event: str
 
 
 @dataclass
@@ -57,7 +38,7 @@ class EpisodeTrace:
     pull_counts: list[int]
     round_log: list[RoundRecord] | None
     action_log: list[int] | None
-    trajectory: list[tuple[int, float]] | None
+    trajectory: list[tuple[int, float]]
     clean_event: bool
     r_max_observed: int
     committed_arm: int | None
@@ -84,17 +65,16 @@ def run_episode(
     horizon: int,
     seed: int,
     *,
-    action_log: bool | None = None,
-    keep_round_log: bool = True,
-    collect_trajectory: bool = True,
-    fast_exploit: bool = True,
+    action_log: bool = False,
 ) -> EpisodeTrace:
     """Drive one policy through ``horizon`` select/sample/observe steps.
 
-    ``action_log`` defaults to on for horizons up to 100k. ``fast_exploit``
-    fast-forwards the committed exploitation phase in bulk; rewards drawn
-    there never influence the policy or the pseudo-regret (which is a pull
-    count times gap sum), so the resulting trace is step-equivalent.
+    Once a known-horizon constant-space policy commits, the rest of the
+    horizon is fast-forwarded in bulk; rewards drawn while exploiting never
+    influence the policy or the pseudo-regret (which is a pull count times
+    gap sum), so the trace is step-equivalent. Each round record the policy
+    emits gets the doubling level and the round's per-arm pull tallies.
+    ``action_log`` keeps the arm pulled at every step.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -105,13 +85,11 @@ def run_episode(
     true_means = instance.means
     gaps = instance.gaps
 
-    if action_log is None:
-        action_log = horizon <= ACTION_LOG_MAX
     actions: list[int] | None = [] if action_log else None
 
     wrapper = policy if isinstance(policy, DoublingPolicy) else None
     constspace = wrapper is not None or isinstance(policy, ConstSpacePolicy)
-    round_records: list[RoundRecord] | None = [] if constspace and keep_round_log else None
+    round_records: list[RoundRecord] | None = [] if constspace else None
 
     pull_counts = [0] * n_arms
     round_pulls = [0] * n_arms
@@ -126,15 +104,15 @@ def run_episode(
     delta = policy.delta if constspace else None
     log_inv_delta = math.log(1.0 / delta) if constspace else 0.0
 
-    checkpoints = _checkpoints(horizon) if collect_trajectory else None
-    trajectory: list[tuple[int, float]] | None = [] if collect_trajectory else None
+    checkpoints = _checkpoints(horizon)
+    trajectory: list[tuple[int, float]] = []
     cp_idx = 0
     cum_gap = 0.0
 
     exploring = policy.exploring if constspace else False
     t = 0
     while t < horizon:
-        if fast_exploit and constspace and wrapper is None and not exploring:
+        if constspace and wrapper is None and not exploring:
             remaining = horizon - t
             arm = policy.best
             policy.advance_exploitation(remaining)
@@ -142,11 +120,10 @@ def run_episode(
             gap_arm = gaps[arm]
             if actions is not None:
                 actions.extend([arm] * remaining)
-            if trajectory is not None:
-                while cp_idx < len(checkpoints):
-                    cp = checkpoints[cp_idx]
-                    trajectory.append((cp, cum_gap + gap_arm * (cp - t)))
-                    cp_idx += 1
+            while cp_idx < len(checkpoints):
+                cp = checkpoints[cp_idx]
+                trajectory.append((cp, cum_gap + gap_arm * (cp - t)))
+                cp_idx += 1
             cum_gap += gap_arm * remaining
             t = horizon
             break
@@ -159,7 +136,7 @@ def run_episode(
         cum_gap += gaps[arm]
         if actions is not None:
             actions.append(arm)
-        if trajectory is not None and cp_idx < len(checkpoints) and t == checkpoints[cp_idx]:
+        if cp_idx < len(checkpoints) and t == checkpoints[cp_idx]:
             trajectory.append((t, cum_gap))
             cp_idx += 1
 
@@ -172,27 +149,11 @@ def run_episode(
                 clean = False
 
         if constspace:
-            if type(report) is RoundClose:
+            if type(report) is RoundRecord:
                 completed_rounds += 1
                 if report.event == COMMITTED:
                     exploring = False
-                if round_records is not None:
-                    round_records.append(
-                        RoundRecord(
-                            r=report.r,
-                            level=level,
-                            g=report.g,
-                            g_prev=report.g_prev,
-                            budget=report.budget,
-                            delta=report.delta,
-                            pulls=tuple(round_pulls),
-                            best=report.best,
-                            mean_best=report.mean_best,
-                            second=report.second,
-                            mean_second=report.mean_second,
-                            event=report.event,
-                        )
-                    )
+                round_records.append(replace(report, level=level, pulls=tuple(round_pulls)))
                 for i in range(n_arms):
                     round_pulls[i] = 0
                     round_means[i] = 0.0
@@ -297,7 +258,7 @@ def check_lemma_assertions(
     2 ln(1/delta) / (gap - g_prev)^2 + 1.
     """
     if trace.round_log is None:
-        raise ValueError("trace has no round log; rerun with keep_round_log=True")
+        raise ValueError("trace has no round log; only round-based policies record one")
     delta_min = instance.delta_min
     if delta_min is None:
         raise ValueError("instance has no positive gap; guarantees are undefined")
@@ -394,7 +355,7 @@ def _cell_seeds(base_seed: int, cell_index: int, n_seeds: int) -> list[int]:
 
 
 def _run_cell(cell):
-    index, policy_config, instance, horizon, seeds, collect_trajectory = cell
+    index, policy_config, instance, horizon, seeds = cell
     label_kwargs = dict(
         policy=policy_config.name,
         schedule=policy_config.schedule_label(),
@@ -404,37 +365,23 @@ def _run_cell(cell):
         seeds=list(seeds),
     )
     try:
-        traces = [
-            run_episode(
-                policy_config,
-                instance,
-                horizon,
-                seed,
-                action_log=False,
-                collect_trajectory=collect_trajectory,
-            )
-            for seed in seeds
-        ]
+        traces = [run_episode(policy_config, instance, horizon, seed) for seed in seeds]
         regrets = [pseudo_regret(tr, instance) for tr in traces]
         try:
             bound = regret_bound(instance.gap_profile, horizon, policy_config.schedule)
         except ValueError:
             bound = float("nan")
-        words = make_policy(
-            policy_config, instance.n_arms, None if policy_config.name == "doubling" else horizon
-        ).state_words()
-        trajectory_mean: list[list[float]] = []
-        if collect_trajectory:
-            for idx in range(len(traces[0].trajectory)):
-                tick = traces[0].trajectory[idx][0]
-                trajectory_mean.append([tick, fmean(tr.trajectory[idx][1] for tr in traces)])
+        trajectory_mean = [
+            [tick, fmean(tr.trajectory[idx][1] for tr in traces)]
+            for idx, (tick, _) in enumerate(traces[0].trajectory)
+        ]
         report = RegretReport(
             **label_kwargs,
             regrets=regrets,
             mean_regret=fmean(regrets),
             stddev_regret=stdev(regrets) if len(regrets) > 1 else 0.0,
             bound_value=bound,
-            state_words=words,
+            state_words=traces[0].policy_words,
             r_max_mean=fmean(tr.r_max_observed for tr in traces),
             clean_event_rate=fmean(1.0 if tr.clean_event else 0.0 for tr in traces),
             best_commit_rate=fmean(
@@ -465,12 +412,12 @@ def run_suite(
     n_seeds: int,
     base_seed: int = 0,
     jobs: int = 1,
-    collect_trajectory: bool = True,
 ) -> list[RegretReport]:
     """Full cross-product of cells, each aggregated over its own seed block.
 
     Episode seeds are ``base_seed + cell_index * n_seeds + k`` so results
-    are independent of execution order and of ``jobs``.
+    are independent of execution order and of ``jobs``. The pool never has
+    more workers than cells or cores.
     """
     if not policy_configs or not instances or not horizons:
         raise ValueError("policies, instances and horizons must be non-empty")
@@ -479,9 +426,10 @@ def run_suite(
     cells = []
     for index, (cfg, inst, horizon) in enumerate(product(policy_configs, instances, horizons)):
         seeds = _cell_seeds(base_seed, index, n_seeds)
-        cells.append((index, cfg, inst, horizon, seeds, collect_trajectory))
-    if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        cells.append((index, cfg, inst, horizon, seeds))
+    workers = min(jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, cells))
     else:
         results = [_run_cell(cell) for cell in cells]

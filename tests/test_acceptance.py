@@ -13,6 +13,7 @@ import pytest
 
 import constbandit.cli as cli
 from constbandit import (
+    ADAPTIVE_RATIO,
     GEOMETRIC,
     PolicyConfig,
     check_lemma_assertions,
@@ -28,7 +29,7 @@ from constbandit import (
 
 GEO = PolicyConfig("constspace")
 POLY = PolicyConfig("constspace", polylog(0.5))
-ADAPTIVE = PolicyConfig("constspace", cli.ADAPTIVE_RATIO)
+ADAPTIVE = PolicyConfig("constspace", ADAPTIVE_RATIO)
 DOUBLING = PolicyConfig("doubling")
 UCB1 = PolicyConfig("ucb1")
 

@@ -208,6 +208,36 @@ def test_verify_flags_injected_failure(monkeypatch, capsys):
     assert "round_count_cap" in captured.err
 
 
+def test_verify_uses_run_seed_rule(monkeypatch, capsys):
+    # ucb1 is cell 0 and is skipped; constspace is cell 1, which ``run``
+    # gives seeds 5 + 1 * 2 + k.
+    seen = []
+    real = simulator.run_episode
+
+    def recording(policy, instance, horizon, seed, **kwargs):
+        seen.append((policy.name, seed))
+        return real(policy, instance, horizon, seed, **kwargs)
+
+    monkeypatch.setattr(simulator, "run_episode", recording)
+    code = cli.main(
+        [
+            "verify",
+            "--policy", "ucb1,constspace",
+            "--instance", "custom(means=0.9|0.45,kind=point)",
+            "--T", "300",
+            "--seeds", "2",
+            "--base-seed", "5",
+        ]
+    )
+    assert code == 0
+    assert seen == [("constspace", 7), ("constspace", 8)]
+    reports = simulator.run_suite(
+        [cli.parse_policy_spec("ucb1"), cli.parse_policy_spec("constspace")],
+        [cli.envs.make_custom([0.9, 0.45], kind="point")], [300], 2, base_seed=5,
+    )
+    assert reports[1].seeds == [7, 8]
+
+
 def test_verify_rejects_ucb1_only(capsys):
     code = cli.main(["verify", "--policy", "ucb1", "--T", "300", "--seeds", "1"])
     assert code == 2
@@ -230,6 +260,17 @@ def test_bounds_command(capsys):
     assert code == 0
     assert "regret bound value" in out and "round-count cap" in out
     assert f"{math.ceil(math.log2(2 / 0.25))}" in out
+
+
+def test_bounds_schedule_flag(capsys):
+    code = cli.main(
+        ["bounds", "--instance", "linear(K=4)", "--T", "1000", "--schedule", "polylog(0.25)"]
+    )
+    assert code == 0
+    assert "schedule: polylog(0.25)" in capsys.readouterr().out
+    code = cli.main(["bounds", "--instance", "linear(K=4)", "--T", "1000", "--schedule", "fancy"])
+    assert code == 2
+    assert "fancy" in capsys.readouterr().err
 
 
 def test_bounds_rejects_degenerate(capsys):

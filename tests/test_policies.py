@@ -11,7 +11,7 @@ from constbandit import (
     PolicyConfig,
     ROUND_DONE,
     RULED_OUT,
-    RoundClose,
+    RoundRecord,
     Ucb1Policy,
     default_delta,
     make_policy,
@@ -122,7 +122,7 @@ def test_round_one_never_rules_out():
     seen = []
     while policy.r == 1 and policy.phase == EXPLORE:
         seen.append(policy.observe(0.0))
-        if isinstance(seen[-1], RoundClose):
+        if isinstance(seen[-1], RoundRecord):
             break
     assert RULED_OUT not in seen
     counts = [r for r in seen if r == ARM_DONE]
@@ -132,7 +132,7 @@ def test_round_one_never_rules_out():
 def test_round_one_ties_keep_scan_order():
     policy = ConstSpacePolicy(3, 10**6)
     report = None
-    while not isinstance(report, RoundClose):
+    while not isinstance(report, RoundRecord):
         report = policy.observe(0.5)
     assert report.best == 0 and report.second == 1  # earlier arm keeps its slot
 
@@ -151,7 +151,7 @@ def test_two_arm_walk_rule_out_and_commit():
     n1 = policy.budget
     assert n1 == 222
 
-    reports = feed(policy, rewards, until=lambda p, rep: isinstance(rep, RoundClose))
+    reports = feed(policy, rewards, until=lambda p, rep: isinstance(rep, RoundRecord))
     close1 = reports[-1]
     assert close1.event == ROUND_DONE
     assert close1.best == 0 and close1.second == 1
@@ -166,7 +166,7 @@ def test_two_arm_walk_rule_out_and_commit():
     )
     assert expected_n == 346
 
-    reports = feed(policy, rewards, until=lambda p, rep: isinstance(rep, RoundClose))
+    reports = feed(policy, rewards, until=lambda p, rep: isinstance(rep, RoundRecord))
     mid = [rep for rep in reports if rep is RULED_OUT]
     assert not mid  # arm 1 is last in the scan, so its rule-out closes the round
     close2 = reports[-1]
@@ -181,7 +181,7 @@ def test_mid_scan_rule_out_reports_event():
     # make the ruled-out arm non-final so the event is visible directly
     rewards = {0: 0.45, 1: 0.9}
     policy = ConstSpacePolicy(2, 10**4)
-    feed(policy, rewards, until=lambda p, rep: isinstance(rep, RoundClose))
+    feed(policy, rewards, until=lambda p, rep: isinstance(rep, RoundRecord))
     reports = feed(policy, rewards, until=lambda p, rep: rep is RULED_OUT)
     assert reports[-1] is RULED_OUT
     assert policy.scan_arm == 1 and policy.n == 0  # moved on to the next arm
@@ -192,7 +192,7 @@ def test_geometric_halving_between_rounds():
     rewards = {0: 0.55, 1: 0.45}
     gs = [policy.g]
     for _ in range(3):
-        feed(policy, rewards, until=lambda p, rep: isinstance(rep, RoundClose))
+        feed(policy, rewards, until=lambda p, rep: isinstance(rep, RoundRecord))
         gs.append(policy.g)
     assert gs[:4] == [0.5, 0.25, 0.125, 0.0625]
 
@@ -209,6 +209,20 @@ def test_registers_are_scalar_words():
     for name in ConstSpacePolicy.REGISTERS:
         value = getattr(policy, name)
         assert isinstance(value, (int, float, bool, str)) or value is None
+
+
+def test_undeclared_attribute_is_rejected():
+    # A stray per-arm table cannot hide from the register count.
+    policy = ConstSpacePolicy(4, 100)
+    with pytest.raises(AttributeError):
+        policy.arm_means = [0.0] * 4
+    wrapper = DoublingPolicy(4)
+    with pytest.raises(AttributeError):
+        wrapper.arm_means = [0.0] * 4
+    assert set(ConstSpacePolicy.__slots__) == set(ConstSpacePolicy.REGISTERS) | {"n_arms", "schedule"}
+    own = set(DoublingPolicy.__slots__) - {"n_arms", "schedule", "inner"}
+    assert own == {"level", "level_horizon", "t_total"}
+    assert wrapper.state_words() - wrapper.inner.state_words() == len(own) == 3
 
 
 def test_ucb1_state_words_grow_linearly():

@@ -31,6 +31,20 @@ def test_schedule_validation():
     assert GEOMETRIC.label() == "geometric"
 
 
+@pytest.mark.parametrize(
+    "schedule", [GEOMETRIC, ADAPTIVE_RATIO, polylog(0.25), polylog(0.5), polylog(1.0)]
+)
+def test_parse_inverts_label(schedule):
+    assert Schedule.parse(schedule.label()) == schedule
+
+
+def test_parse_rejects_other_text():
+    assert Schedule.parse("polylog") == polylog(0.5)
+    for text in ("fancy", "", "geometric(0.5)", "polylog()", "polylog(2)", "polylog(x)"):
+        with pytest.raises(ValueError):
+            Schedule.parse(text)
+
+
 def test_next_precision_hand_values():
     assert next_precision(0.5, GEOMETRIC) == 0.25
     # log2(16) = 4, so 0.0625 / (2*4)

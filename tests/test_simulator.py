@@ -1,21 +1,32 @@
 import math
+from dataclasses import replace
 
 import pytest
 
+import constbandit.simulator as simulator
 from constbandit import (
+    ADAPTIVE_RATIO,
+    BanditInstance,
+    DoublingPolicy,
     GEOMETRIC,
     PolicyConfig,
+    RewardStream,
+    RoundRecord,
+    beta_arm,
+    bernoulli,
     check_lemma_assertions,
     make_custom,
+    make_policy,
     memory_audit,
     next_precision,
+    point_mass,
     polylog,
     pseudo_regret,
     run_episode,
     run_suite,
 )
-from constbandit.policies import default_delta
-from constbandit.simulator import EpisodeTrace, RoundRecord
+from constbandit.policies import EXPLOIT, default_delta
+from constbandit.simulator import EpisodeTrace
 
 
 def reference_run(means, horizon, schedule=GEOMETRIC):
@@ -119,19 +130,60 @@ def test_point_mass_two_round_structure():
     assert trace.committed_arm == 0 and trace.separated
 
 
-def test_fast_exploit_path_is_step_equivalent():
-    inst = make_custom([0.9, 0.4])
-    cfg = PolicyConfig("constspace")
-    fast = run_episode(cfg, inst, 3000, 11, fast_exploit=True)
-    slow = run_episode(cfg, inst, 3000, 11, fast_exploit=False)
-    assert fast.pull_counts == slow.pull_counts
-    assert fast.round_log == slow.round_log
-    assert fast.action_log == slow.action_log
-    assert fast.committed_arm == slow.committed_arm
-    assert fast.clean_event == slow.clean_event
-    assert len(fast.trajectory) == len(slow.trajectory)
-    for (t1, v1), (t2, v2) in zip(fast.trajectory, slow.trajectory):
-        assert t1 == t2 and v1 == pytest.approx(v2, abs=1e-9)
+def step_driven(cfg, instance, horizon, seed):
+    """Oracle for ``run_episode``: select, draw and observe for every one of
+    ``horizon`` steps, with no bulk exploitation fast-forward."""
+    policy = make_policy(cfg, instance.n_arms, None if cfg.name == "doubling" else horizon)
+    stream = RewardStream(instance, seed)
+    actions, records = [], []
+    for _ in range(horizon):
+        arm = policy.select_arm()
+        report = policy.observe(stream.draw(arm))
+        actions.append(arm)
+        if isinstance(report, RoundRecord):
+            records.append(report)
+    inner = policy.inner if isinstance(policy, DoublingPolicy) else policy
+    committed = inner.best if inner.phase == EXPLOIT else None
+    return actions, committed, records
+
+
+# Means 0.9, 0.72, 0.3, 0.2, 0.1 (best arm moved for the point masses): the
+# top two separate in round 3, three of five arms fall in round 2 so the
+# adaptive step differs from halving, and a doubling run at T = 20000
+# crosses four levels and ends mid-scan.
+_ORACLE_INSTANCES = {
+    "bernoulli": BanditInstance(tuple(bernoulli(p) for p in (0.9, 0.72, 0.3, 0.2, 0.1))),
+    "beta": BanditInstance(
+        tuple(beta_arm(a, b) for a, b in ((9.0, 1.0), (18.0, 7.0), (3.0, 7.0), (2.0, 8.0), (1.0, 9.0)))
+    ),
+    "point": BanditInstance(tuple(point_mass(p) for p in (0.72, 0.9, 0.3, 0.2, 0.1))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ORACLE_INSTANCES))
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        PolicyConfig("constspace", GEOMETRIC),
+        PolicyConfig("constspace", polylog(0.5)),
+        PolicyConfig("constspace", ADAPTIVE_RATIO),
+        PolicyConfig("doubling", GEOMETRIC),
+    ],
+    ids=lambda cfg: f"{cfg.name}-{cfg.schedule.label()}",
+)
+def test_run_episode_matches_step_driven_oracle(kind, cfg):
+    inst = _ORACLE_INSTANCES[kind]
+    horizon = 20000
+    for seed in (0, 1):
+        trace = run_episode(cfg, inst, horizon, seed, action_log=True)
+        actions, committed, records = step_driven(cfg, inst, horizon, seed)
+        assert trace.action_log == actions
+        assert trace.pull_counts == [actions.count(arm) for arm in range(inst.n_arms)]
+        assert trace.committed_arm == committed
+        assert [replace(rec, level=0, pulls=()) for rec in trace.round_log] == records
+        for tick, regret in trace.trajectory:
+            expected = math.fsum(inst.gaps[arm] for arm in actions[:tick])
+            assert regret == pytest.approx(expected, abs=1e-9)
 
 
 def test_pseudo_regret_arithmetic():
@@ -173,10 +225,6 @@ def test_lemma_checks_pass_on_point_mass():
 
 def test_lemma_checks_require_round_log():
     inst = make_custom([0.9, 0.45])
-    cfg = PolicyConfig("constspace")
-    trace = run_episode(cfg, inst, 500, 0, keep_round_log=False)
-    with pytest.raises(ValueError):
-        check_lemma_assertions(trace, inst, cfg)
     ucb_trace = run_episode(PolicyConfig("ucb1"), inst, 500, 0)
     with pytest.raises(ValueError):
         check_lemma_assertions(ucb_trace, inst, PolicyConfig("ucb1"))
@@ -217,7 +265,7 @@ def test_lemma_checks_flag_injected_violation():
     bad = RoundRecord(
         r=2, level=0, g=0.125, g_prev=0.25, budget=2653, delta=1e-9,
         pulls=(2653, 900), best=0, mean_best=0.9, second=1, mean_second=0.4,
-        event="round_done",
+        event="round_done", separated=False,
     )
     report = check_lemma_assertions(_synthetic_trace([bad]), inst, cfg)
     failed = {c.name for c in report.failures}
@@ -231,7 +279,7 @@ def test_lemma_checks_vacuous_without_clean_event():
     bad = RoundRecord(
         r=1, level=0, g=0.5, g_prev=0.5, budget=166, delta=1e-9,
         pulls=(100, 166), best=0, mean_best=0.2, second=1, mean_second=0.1,
-        event="round_done",
+        event="round_done", separated=False,
     )
     report = check_lemma_assertions(_synthetic_trace([bad], clean=False), inst, cfg)
     assert not report.clean_event
@@ -260,6 +308,38 @@ def test_run_suite_shapes_and_determinism():
     assert reports == again
     with pytest.raises(ValueError):
         run_suite([], [inst], [800], 3)
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records the worker count, maps in process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs,cores,expected", [(64, 2, [2]), (64, 100, [3]), (2, 100, [2]), (64, 1, [])]
+)
+def test_run_suite_clamps_pool_size(monkeypatch, jobs, cores, expected):
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: cores)
+    inst = make_custom([0.9, 0.6])
+    cfgs = [PolicyConfig("constspace"), PolicyConfig("doubling"), PolicyConfig("ucb1")]
+    reports = run_suite(cfgs, [inst], [50], 1, base_seed=0, jobs=jobs)
+    assert _SerialPool.sizes == expected  # [] means the cells ran in process
+    assert [r.error for r in reports] == [None, None, None]
 
 
 def test_run_suite_records_cell_failure():
