@@ -161,16 +161,6 @@ def parse_instance_spec(text: str) -> tuple[str, dict]:
     return name, _parse_instance_params(name, items)
 
 
-def instance_spec_string(name: str, params: dict) -> str:
-    parts = []
-    for key, value in params.items():
-        if key == "means":
-            parts.append("means=" + "|".join(f"{m:g}" for m in value))
-        else:
-            parts.append(f"{key}={value}")
-    return name if not parts else f"{name}({','.join(parts)})"
-
-
 def build_instance(cfg: ExperimentConfig) -> envs.BanditInstance:
     try:
         return envs.build_preset(cfg.instance_name, **cfg.instance_params)

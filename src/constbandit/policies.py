@@ -291,10 +291,6 @@ class DoublingPolicy:
     def delta(self) -> float:
         return self.inner.delta
 
-    @property
-    def exploring(self) -> bool:
-        return self.inner.exploring
-
     def select_arm(self) -> int:
         return self.inner.select_arm()
 
@@ -302,10 +298,30 @@ class DoublingPolicy:
         report = self.inner.observe(reward)
         self.t_total += 1
         if self.inner.t >= self.level_horizon:
-            self.level += 1
-            self.level_horizon = self.level_horizon**2
-            self.inner = ConstSpacePolicy(self.n_arms, self.level_horizon, self.schedule)
+            self._next_level()
         return report
+
+    def advance_exploitation(self, steps: int) -> None:
+        """Skip ``steps`` exploitation pulls of the current level in bulk,
+        starting the next level if they finish this one."""
+        self.inner.advance_exploitation(steps)
+        self.t_total += steps
+        if self.inner.t >= self.level_horizon:
+            self._next_level()
+
+    def _next_level(self) -> None:
+        self.level += 1
+        self.level_horizon = self.level_horizon**2
+        self.inner = ConstSpacePolicy(self.n_arms, self.level_horizon, self.schedule)
+
+    def levels(self):
+        """Yield each level's inner policy, a known-horizon episode; the next
+        comes only once the current one has run its full horizon."""
+        while True:
+            inner = self.inner
+            yield inner
+            if self.inner is inner:
+                return
 
     def state_words(self) -> int:
         return self.inner.state_words() + len(self.REGISTERS)
@@ -347,17 +363,16 @@ class Ucb1Policy:
         return 2 * self.n_arms + 1
 
 
-def make_policy(config: PolicyConfig, n_arms: int, horizon: int | None):
-    """Fresh policy state for an episode.
+def make_policy(config: PolicyConfig, n_arms: int, horizon: int):
+    """Fresh policy state for an episode of ``horizon`` steps.
 
-    ``horizon=None`` means the horizon is unknown to the policy and selects
-    the doubling wrapper for the round-based variants. The doubling wrapper
-    always manages its own per-level confidence, so any delta override is
-    rejected there.
+    Only the constant-space policy is told the horizon. The doubling
+    wrapper, picked by name, runs without it and manages its own per-level
+    confidence, so any delta override is rejected there.
     """
     if config.name == "ucb1":
         return Ucb1Policy(n_arms)
-    if config.name == "doubling" or horizon is None:
+    if config.name == "doubling":
         if config.delta_override is not None:
             raise ValueError("doubling wrapper sets delta per level; no override")
         return DoublingPolicy(n_arms, config.schedule)

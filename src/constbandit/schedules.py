@@ -35,8 +35,11 @@ class Schedule:
             raise ValueError(f"{self.kind} schedule takes no epsilon")
 
     def label(self) -> str:
+        """Short name, e.g. 'polylog(0.5)'; epsilon is printed with ``:g``
+        unless that rounds it, so ``parse`` always gives the schedule back."""
         if self.kind == "polylog":
-            return f"polylog({self.epsilon:g})"
+            eps = f"{self.epsilon:g}"
+            return f"polylog({eps if float(eps) == self.epsilon else repr(self.epsilon)})"
         return self.kind
 
     @classmethod

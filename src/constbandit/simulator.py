@@ -21,7 +21,6 @@ from .bounds import regret_bound, rmax_bound
 from .envs import BanditInstance, RewardStream, make_linear_gaps
 from .policies import (
     COMMITTED,
-    EXPLOIT,
     ConstSpacePolicy,
     DoublingPolicy,
     PolicyConfig,
@@ -45,7 +44,6 @@ class EpisodeTrace:
     separated: bool
     frozen: bool
     level_log: list[tuple[int, int, int]] | None
-    delta: float | None
     policy_words: int
 
 
@@ -69,52 +67,90 @@ def run_episode(
 ) -> EpisodeTrace:
     """Drive one policy through ``horizon`` select/sample/observe steps.
 
-    Once a known-horizon constant-space policy commits, the rest of the
-    horizon is fast-forwarded in bulk; rewards drawn while exploiting never
-    influence the policy or the pseudo-regret (which is a pull count times
-    gap sum), so the trace is step-equivalent. Each round record the policy
-    emits gets the doubling level and the round's per-arm pull tallies.
-    ``action_log`` keeps the arm pulled at every step.
+    The episode is a loop over levels, each a known-horizon episode: the
+    policy itself, or each restart of the doubling wrapper. Once the policy
+    commits in the level that ends the episode, the rest is fast-forwarded
+    in bulk; rewards drawn while exploiting never influence the policy or
+    the pseudo-regret (a pull count times gap sum), and no later level reads
+    them, so the trace is step-equivalent. Each round record gets its level
+    and per-arm pull tallies. ``action_log`` keeps the arm of every step.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     n_arms = instance.n_arms
-    known_horizon = None if policy_config.name == "doubling" else horizon
-    policy = make_policy(policy_config, n_arms, known_horizon)
+    policy = make_policy(policy_config, n_arms, horizon)
     stream = RewardStream(instance, seed)
     true_means = instance.means
     gaps = instance.gaps
 
     actions: list[int] | None = [] if action_log else None
-
-    wrapper = policy if isinstance(policy, DoublingPolicy) else None
-    constspace = wrapper is not None or isinstance(policy, ConstSpacePolicy)
-    round_records: list[RoundRecord] | None = [] if constspace else None
+    doubling = isinstance(policy, DoublingPolicy)
+    round_based = doubling or isinstance(policy, ConstSpacePolicy)
+    round_records: list[RoundRecord] | None = [] if round_based else None
+    level_log: list[tuple[int, int, int]] | None = [] if doubling else None
 
     pull_counts = [0] * n_arms
     round_pulls = [0] * n_arms
     round_means = [0.0] * n_arms
     clean = True
-    completed_rounds = 0
     rmax_seen = 0
-    level = 0
-    level_horizon = wrapper.level_horizon if wrapper else horizon
-    level_log: list[tuple[int, int, int]] | None = [] if wrapper else None
-
-    delta = policy.delta if constspace else None
-    log_inv_delta = math.log(1.0 / delta) if constspace else 0.0
 
     checkpoints = _checkpoints(horizon)
     trajectory: list[tuple[int, float]] = []
     cp_idx = 0
     cum_gap = 0.0
 
-    exploring = policy.exploring if constspace else False
     t = 0
-    while t < horizon:
-        if constspace and wrapper is None and not exploring:
-            remaining = horizon - t
-            arm = policy.best
+    for level, current in enumerate(policy.levels() if doubling else (policy,)):
+        if round_based:
+            level_end = min(horizon, t + current.horizon - current.t)
+            log_inv_delta = current.log_inv_delta
+            exploring = current.exploring
+            # Only the level that ends the episode may skip its exploitation.
+            bulk = level_end == horizon
+        else:
+            level_end, log_inv_delta, exploring, bulk = horizon, 0.0, False, False
+        stop = t if bulk and not exploring else level_end
+        completed_rounds = 0
+        for i in range(n_arms):
+            round_pulls[i] = 0
+            round_means[i] = 0.0
+
+        while t < stop:
+            arm = policy.select_arm()
+            reward = stream.draw(arm)
+            report = policy.observe(reward)
+            t += 1
+            pull_counts[arm] += 1
+            cum_gap += gaps[arm]
+            if actions is not None:
+                actions.append(arm)
+            if cp_idx < len(checkpoints) and t == checkpoints[cp_idx]:
+                trajectory.append((t, cum_gap))
+                cp_idx += 1
+
+            if exploring:
+                n = round_pulls[arm] + 1
+                round_pulls[arm] = n
+                m = (round_means[arm] * (n - 1) + reward) / n
+                round_means[arm] = m
+                if clean and abs(m - true_means[arm]) > math.sqrt(log_inv_delta / (2.0 * n)):
+                    clean = False
+
+            if type(report) is RoundRecord:
+                completed_rounds += 1
+                round_records.append(replace(report, level=level, pulls=tuple(round_pulls)))
+                for i in range(n_arms):
+                    round_pulls[i] = 0
+                    round_means[i] = 0.0
+                if report.event == COMMITTED:
+                    exploring = False
+                    if bulk:
+                        stop = t
+
+        if t < level_end:  # committed in the level that ends the episode
+            remaining = level_end - t
+            arm = current.best
             policy.advance_exploitation(remaining)
             pull_counts[arm] += remaining
             gap_arm = gaps[arm]
@@ -125,66 +161,18 @@ def run_episode(
                 trajectory.append((cp, cum_gap + gap_arm * (cp - t)))
                 cp_idx += 1
             cum_gap += gap_arm * remaining
-            t = horizon
-            break
+            t = level_end
 
-        arm = policy.select_arm()
-        reward = stream.draw(arm)
-        report = policy.observe(reward)
-        t += 1
-        pull_counts[arm] += 1
-        cum_gap += gaps[arm]
-        if actions is not None:
-            actions.append(arm)
-        if cp_idx < len(checkpoints) and t == checkpoints[cp_idx]:
-            trajectory.append((t, cum_gap))
-            cp_idx += 1
+        if level_log is not None:
+            level_log.append((level, current.horizon, current.t))
+        rmax_seen = max(rmax_seen, completed_rounds - 1)
 
-        if exploring:
-            n = round_pulls[arm] + 1
-            round_pulls[arm] = n
-            m = (round_means[arm] * (n - 1) + reward) / n
-            round_means[arm] = m
-            if clean and abs(m - true_means[arm]) > math.sqrt(log_inv_delta / (2.0 * n)):
-                clean = False
-
-        if constspace:
-            if type(report) is RoundRecord:
-                completed_rounds += 1
-                if report.event == COMMITTED:
-                    exploring = False
-                round_records.append(replace(report, level=level, pulls=tuple(round_pulls)))
-                for i in range(n_arms):
-                    round_pulls[i] = 0
-                    round_means[i] = 0.0
-            if wrapper is not None and wrapper.level != level:
-                level_log.append((level, level_horizon, level_horizon))
-                rmax_seen = max(rmax_seen, completed_rounds - 1)
-                completed_rounds = 0
-                level = wrapper.level
-                level_horizon = wrapper.level_horizon
-                delta = wrapper.delta
-                log_inv_delta = math.log(1.0 / delta)
-                exploring = wrapper.exploring
-                for i in range(n_arms):
-                    round_pulls[i] = 0
-                    round_means[i] = 0.0
-
-    if wrapper is not None:
-        level_log.append((level, level_horizon, wrapper.inner.t))
-    rmax_seen = max(rmax_seen, completed_rounds - 1)
-
-    if constspace:
-        inner = wrapper.inner if wrapper else policy
-        committed_arm = inner.best if inner.phase == EXPLOIT else None
-        separated = inner.separated
-        frozen = inner.phase != EXPLOIT
-        delta_final = inner.delta
+    if round_based:
+        frozen = current.exploring
+        committed_arm = None if frozen else current.best
+        separated = current.separated
     else:
-        committed_arm = None
-        separated = False
-        frozen = False
-        delta_final = None
+        committed_arm, separated, frozen = None, False, False
 
     return EpisodeTrace(
         n_arms=n_arms,
@@ -194,13 +182,12 @@ def run_episode(
         round_log=round_records,
         action_log=actions,
         trajectory=trajectory,
-        clean_event=clean if constspace else True,
+        clean_event=clean,
         r_max_observed=max(0, rmax_seen),
         committed_arm=committed_arm,
         separated=separated,
         frozen=frozen,
         level_log=level_log,
-        delta=delta_final,
         policy_words=policy.state_words(),
     )
 
@@ -446,14 +433,13 @@ class MemoryAuditRow:
     words_peak: int
 
 
-def memory_audit(
-    policy_configs,
-    K_grid,
-    *,
-    steps: int = 64,
-    horizon: int = 100_000,
-    seed: int = 0,
-) -> list[MemoryAuditRow]:
+# The audited episode: AUDIT_STEPS pulls of a policy told AUDIT_HORIZON.
+AUDIT_STEPS = 64
+AUDIT_HORIZON = 100_000
+AUDIT_SEED = 0
+
+
+def memory_audit(policy_configs, K_grid) -> list[MemoryAuditRow]:
     """State words at reset and at peak over a short driven episode, per K.
 
     The episode is deliberately short; the point is to sample the register
@@ -469,11 +455,11 @@ def memory_audit(
             instance = instances[K]
             if instance is None:
                 raise ValueError("memory audit needs K >= 2")
-            policy = make_policy(cfg, K, None if cfg.name == "doubling" else horizon)
+            policy = make_policy(cfg, K, AUDIT_HORIZON)
             at_reset = policy.state_words()
             peak = at_reset
-            stream = RewardStream(instance, seed)
-            for _ in range(min(steps, horizon)):
+            stream = RewardStream(instance, AUDIT_SEED)
+            for _ in range(AUDIT_STEPS):
                 arm = policy.select_arm()
                 policy.observe(stream.draw(arm))
                 peak = max(peak, policy.state_words())

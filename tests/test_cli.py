@@ -62,6 +62,14 @@ def test_config_ini_round_trip():
         horizons=[100],
     )
     assert cli.config_from_ini(cli.config_to_ini(means_cfg)) == means_cfg
+    odd_eps_cfg = cli.ExperimentConfig(
+        policies=[
+            PolicyConfig("constspace", polylog(0.123456789)),
+            PolicyConfig("doubling", polylog(1 / 3)),
+        ],
+        horizons=[100],
+    )
+    assert cli.config_from_ini(cli.config_to_ini(odd_eps_cfg)) == odd_eps_cfg
 
 
 def test_config_rejects_unknown_keys():

@@ -275,6 +275,20 @@ def test_doubling_level_schedule():
     assert policy.t_total == 110
 
 
+def test_doubling_bulk_exploitation_rolls_level():
+    policy = DoublingPolicy(1)  # a single arm commits at once in every level
+    levels = policy.levels()
+    first = next(levels)
+    policy.advance_exploitation(4)
+    assert policy.inner is first and policy.t_total == 4
+    policy.advance_exploitation(6)
+    assert policy.level == 1 and policy.inner is not first and policy.t_total == 10
+    assert next(levels) is policy.inner
+    with pytest.raises(ValueError):
+        policy.advance_exploitation(101)
+    assert next(levels, None) is None  # the level did not finish: no next one
+
+
 def test_doubling_levels_cover_horizon():
     total_T = 10**4
     horizons = []
@@ -289,10 +303,10 @@ def test_doubling_levels_cover_horizon():
 def test_make_policy_dispatch():
     assert isinstance(make_policy(PolicyConfig("ucb1"), 3, 100), Ucb1Policy)
     assert isinstance(make_policy(PolicyConfig("doubling"), 3, 100), DoublingPolicy)
-    assert isinstance(make_policy(PolicyConfig("constspace"), 3, None), DoublingPolicy)
+    assert isinstance(make_policy(PolicyConfig("constspace"), 3, 100), ConstSpacePolicy)
     policy = make_policy(PolicyConfig("constspace", delta_override=1e-4), 3, 100)
     assert policy.delta == 1e-4
     with pytest.raises(ValueError):
-        make_policy(PolicyConfig("doubling", delta_override=1e-4), 3, None)
+        make_policy(PolicyConfig("doubling", delta_override=1e-4), 3, 100)
     with pytest.raises(ValueError):
         PolicyConfig("thompson")

@@ -28,11 +28,22 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         Schedule("fancy")
     assert polylog(0.5).label() == "polylog(0.5)"
+    assert polylog(1.0).label() == "polylog(1)"
+    assert polylog(0.123456789).label() == "polylog(0.123456789)"
     assert GEOMETRIC.label() == "geometric"
 
 
 @pytest.mark.parametrize(
-    "schedule", [GEOMETRIC, ADAPTIVE_RATIO, polylog(0.25), polylog(0.5), polylog(1.0)]
+    "schedule",
+    [
+        GEOMETRIC,
+        ADAPTIVE_RATIO,
+        polylog(0.25),
+        polylog(0.5),
+        polylog(1.0),
+        polylog(0.123456789),
+        polylog(1 / 3),
+    ],
 )
 def test_parse_inverts_label(schedule):
     assert Schedule.parse(schedule.label()) == schedule

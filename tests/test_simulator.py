@@ -132,19 +132,48 @@ def test_point_mass_two_round_structure():
 
 def step_driven(cfg, instance, horizon, seed):
     """Oracle for ``run_episode``: select, draw and observe for every one of
-    ``horizon`` steps, with no bulk exploitation fast-forward."""
-    policy = make_policy(cfg, instance.n_arms, None if cfg.name == "doubling" else horizon)
+    ``horizon`` steps, with no bulk exploitation fast-forward. For the
+    doubling wrapper it also logs (level, level horizon, steps run) per level,
+    watching ``DoublingPolicy.level`` change after each step, and tags each
+    round record with the level it closed in."""
+    policy = make_policy(cfg, instance.n_arms, horizon)
+    doubling = isinstance(policy, DoublingPolicy)
     stream = RewardStream(instance, seed)
     actions, records = [], []
+    level_log = [] if doubling else None
+    level_steps = 0
     for _ in range(horizon):
+        level = policy.level if doubling else 0
+        level_horizon = policy.level_horizon if doubling else horizon
         arm = policy.select_arm()
         report = policy.observe(stream.draw(arm))
         actions.append(arm)
         if isinstance(report, RoundRecord):
-            records.append(report)
-    inner = policy.inner if isinstance(policy, DoublingPolicy) else policy
+            records.append(replace(report, level=level))
+        level_steps += 1
+        if doubling and policy.level != level:
+            level_log.append((level, level_horizon, level_steps))
+            level_steps = 0
+    if doubling:
+        level_log.append((policy.level, policy.level_horizon, level_steps))
+    inner = policy.inner if doubling else policy
     committed = inner.best if inner.phase == EXPLOIT else None
-    return actions, committed, records
+    return actions, committed, records, level_log
+
+
+def assert_matches_step_driven(cfg, inst, horizon, seed):
+    trace = run_episode(cfg, inst, horizon, seed, action_log=True)
+    actions, committed, records, level_log = step_driven(cfg, inst, horizon, seed)
+    assert trace.action_log == actions
+    assert trace.pull_counts == [actions.count(arm) for arm in range(inst.n_arms)]
+    assert trace.committed_arm == committed
+    assert trace.frozen == (committed is None)
+    assert [replace(rec, pulls=()) for rec in trace.round_log] == records
+    assert trace.level_log == level_log
+    for tick, regret in trace.trajectory:
+        expected = math.fsum(inst.gaps[arm] for arm in actions[:tick])
+        assert regret == pytest.approx(expected, abs=1e-9)
+    return trace
 
 
 # Means 0.9, 0.72, 0.3, 0.2, 0.1 (best arm moved for the point masses): the
@@ -173,17 +202,42 @@ _ORACLE_INSTANCES = {
 )
 def test_run_episode_matches_step_driven_oracle(kind, cfg):
     inst = _ORACLE_INSTANCES[kind]
-    horizon = 20000
     for seed in (0, 1):
-        trace = run_episode(cfg, inst, horizon, seed, action_log=True)
-        actions, committed, records = step_driven(cfg, inst, horizon, seed)
-        assert trace.action_log == actions
-        assert trace.pull_counts == [actions.count(arm) for arm in range(inst.n_arms)]
-        assert trace.committed_arm == committed
-        assert [replace(rec, level=0, pulls=()) for rec in trace.round_log] == records
-        for tick, regret in trace.trajectory:
-            expected = math.fsum(inst.gaps[arm] for arm in actions[:tick])
-            assert regret == pytest.approx(expected, abs=1e-9)
+        assert_matches_step_driven(cfg, inst, 20000, seed)
+
+
+# custom(0.9, 0.6) commits in level 2, so at T = 10110 the bulk exploitation
+# itself ends the level.
+_BOUNDARY_INSTANCES = {**_ORACLE_INSTANCES, "two_arm": make_custom([0.9, 0.6])}
+
+
+@pytest.mark.parametrize("horizon", [10, 110, 10110])
+@pytest.mark.parametrize("kind", sorted(_BOUNDARY_INSTANCES))
+def test_doubling_on_level_boundary_matches_oracle(kind, horizon):
+    # The episode ends exactly as a level does: the wrapper has already
+    # started the next level, which is logged with zero steps and whose
+    # fresh inner policy is the one reported (not committed).
+    inst = _BOUNDARY_INSTANCES[kind]
+    trace = assert_matches_step_driven(PolicyConfig("doubling"), inst, horizon, 0)
+    assert trace.level_log[-1][2] == 0 and trace.frozen
+
+
+def test_doubling_last_level_exploits_in_bulk(monkeypatch):
+    inst = make_custom([0.9, 0.6])
+    cfg = PolicyConfig("doubling")
+    draws = []
+    real_draw = RewardStream.draw
+
+    def counting_draw(self, arm):
+        draws.append(arm)
+        return real_draw(self, arm)
+
+    monkeypatch.setattr(RewardStream, "draw", counting_draw)
+    trace = run_episode(cfg, inst, 20000, 0)
+    assert len(draws) == 14534  # the 5466 pulls after the level-3 commit are not drawn
+    assert trace.round_log[-1].event == "committed" and trace.round_log[-1].level == 3
+    assert trace.level_log == [(0, 10, 10), (1, 100, 100), (2, 10**4, 10**4), (3, 10**8, 9890)]
+    assert_matches_step_driven(cfg, inst, 20000, 0)
 
 
 def test_pseudo_regret_arithmetic():
@@ -253,7 +307,6 @@ def _synthetic_trace(round_log, clean=True):
         separated=True,
         frozen=False,
         level_log=None,
-        delta=1e-9,
         policy_words=20,
     )
 
