@@ -6,7 +6,7 @@ variable overrides the base seed last. All randomness flows from
 ``base_seed + cell_index``; there is no wall-clock entropy anywhere, so a
 rerun with the same config is byte-identical regardless of --jobs.
 
-Exit codes: 0 success, 1 assertion failure, 2 config error, 3 I/O error.
+Exit codes: 0 success, 1 assertion failure, 2 config error, 3 I/O or OS error.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import math
 import os
 import re
 import sys
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -549,8 +550,8 @@ def cmd_memaudit(args) -> int:
         grid = [int(x) for x in args.K.split(",") if x.strip()]
     except ValueError as exc:
         raise ConfigError(f"--K: {exc}") from exc
-    if not grid:
-        raise ConfigError("--K: grid must be non-empty")
+    if not grid or min(grid) < 2:
+        raise ConfigError("--K: grid must be non-empty, with every K >= 2")
     policies = [parse_policy_spec(p) for p in args.policies.split(",") if p.strip()]
     rows = simulator.memory_audit(policies, grid)
     print(f"{'policy':<12} {'schedule':<14} {'K':>8} {'reset':>7} {'peak':>7}")
@@ -657,6 +658,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except BrokenExecutor as exc:
+        print(f"error: worker pool failed: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -109,7 +109,12 @@ class BanditInstance:
 
 
 class RewardStream:
-    """Seeded reward source; ``draw(arm)`` yields the arm's next sample."""
+    """Seeded reward source; ``draw(arm)`` yields the arm's next sample.
+
+    Per arm: [generator, chunk, index into chunk]. ``skip`` only moves the
+    index, maybe past the chunk; ``_refill`` generates the chunks passed over
+    when the arm is next drawn.
+    """
 
     def __init__(self, instance: BanditInstance, seed: int):
         self.instance = instance
@@ -117,18 +122,20 @@ class RewardStream:
         self._buffers: dict[int, list] = {}
 
     def _refill(self, arm: int) -> list:
-        state = self._buffers.get(arm)
-        if state is None:
+        state = self._buffers.setdefault(arm, [None, None, _CHUNK])
+        if state[0] is None:
             seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(arm,))
-            state = [np.random.Generator(np.random.PCG64(seq)), None, 0]
-            self._buffers[arm] = state
+            state[0] = np.random.Generator(np.random.PCG64(seq))
         gen = state[0]
         spec = self.instance.arms[arm]
+        chunks, state[2] = divmod(state[2], _CHUNK)
         if spec.kind == "bernoulli":
-            state[1] = (gen.random(_CHUNK) < spec.a).astype(np.float64)
+            for _ in range(chunks):
+                uniform = gen.random(_CHUNK)
+            state[1] = (uniform < spec.a).astype(np.float64)
         else:
-            state[1] = gen.beta(spec.a, spec.b, size=_CHUNK)
-        state[2] = 0
+            for _ in range(chunks):
+                state[1] = gen.beta(spec.a, spec.b, size=_CHUNK)
         return state
 
     def draw(self, arm: int) -> float:
@@ -143,6 +150,13 @@ class RewardStream:
         value = state[1][state[2]]
         state[2] += 1
         return float(value)
+
+    def skip(self, arm: int, n: int) -> None:
+        """Leave the arm's stream where ``n`` calls of ``draw`` would."""
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        if self.instance.arms[arm].kind != "point":
+            self._buffers.setdefault(arm, [None, None, _CHUNK])[2] += n
 
 
 def make_custom(means, kind: str = "bernoulli", label: str = "") -> BanditInstance:

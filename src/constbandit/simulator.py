@@ -47,16 +47,6 @@ class EpisodeTrace:
     policy_words: int
 
 
-def _checkpoints(horizon: int) -> list[int]:
-    cps = []
-    c = 1
-    while c < horizon:
-        cps.append(c)
-        c *= 2
-    cps.append(horizon)
-    return cps
-
-
 def run_episode(
     policy_config: PolicyConfig,
     instance: BanditInstance,
@@ -68,12 +58,12 @@ def run_episode(
     """Drive one policy through ``horizon`` select/sample/observe steps.
 
     The episode is a loop over levels, each a known-horizon episode: the
-    policy itself, or each restart of the doubling wrapper. Once the policy
-    commits in the level that ends the episode, the rest is fast-forwarded
-    in bulk; rewards drawn while exploiting never influence the policy or
-    the pseudo-regret (a pull count times gap sum), and no later level reads
-    them, so the trace is step-equivalent. Each round record gets its level
-    and per-arm pull tallies. ``action_log`` keeps the arm of every step.
+    policy itself, or each restart of the doubling wrapper. A level is
+    stepped until it commits, and the rest of it is skipped in bulk:
+    exploitation rewards never touch the policy or the pseudo-regret, and
+    ``RewardStream.skip`` leaves the stream where drawing them would, so the
+    trace is step-equivalent. Each round record gets its level and per-arm
+    pull tallies. ``action_log`` keeps the arm of every step.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -95,9 +85,9 @@ def run_episode(
     clean = True
     rmax_seen = 0
 
-    checkpoints = _checkpoints(horizon)
+    # Regret checkpoints at t = 1, 2, 4, ... and at the horizon.
     trajectory: list[tuple[int, float]] = []
-    cp_idx = 0
+    next_cp = 1
     cum_gap = 0.0
 
     t = 0
@@ -105,12 +95,9 @@ def run_episode(
         if round_based:
             level_end = min(horizon, t + current.horizon - current.t)
             log_inv_delta = current.log_inv_delta
-            exploring = current.exploring
-            # Only the level that ends the episode may skip its exploitation.
-            bulk = level_end == horizon
+            stop = level_end if current.exploring else t
         else:
-            level_end, log_inv_delta, exploring, bulk = horizon, 0.0, False, False
-        stop = t if bulk and not exploring else level_end
+            stop = level_end = horizon
         completed_rounds = 0
         for i in range(n_arms):
             round_pulls[i] = 0
@@ -125,11 +112,11 @@ def run_episode(
             cum_gap += gaps[arm]
             if actions is not None:
                 actions.append(arm)
-            if cp_idx < len(checkpoints) and t == checkpoints[cp_idx]:
+            if t == next_cp:
                 trajectory.append((t, cum_gap))
-                cp_idx += 1
+                next_cp = min(2 * t, horizon)
 
-            if exploring:
+            if round_based:  # a round-based level that is still stepping explores
                 n = round_pulls[arm] + 1
                 round_pulls[arm] = n
                 m = (round_means[arm] * (n - 1) + reward) / n
@@ -137,29 +124,28 @@ def run_episode(
                 if clean and abs(m - true_means[arm]) > math.sqrt(log_inv_delta / (2.0 * n)):
                     clean = False
 
-            if type(report) is RoundRecord:
-                completed_rounds += 1
-                round_records.append(replace(report, level=level, pulls=tuple(round_pulls)))
-                for i in range(n_arms):
-                    round_pulls[i] = 0
-                    round_means[i] = 0.0
-                if report.event == COMMITTED:
-                    exploring = False
-                    if bulk:
-                        stop = t
+                if type(report) is RoundRecord:
+                    completed_rounds += 1
+                    round_records.append(replace(report, level=level, pulls=tuple(round_pulls)))
+                    for i in range(n_arms):
+                        round_pulls[i] = 0
+                        round_means[i] = 0.0
+                    if report.event == COMMITTED:
+                        break
 
-        if t < level_end:  # committed in the level that ends the episode
+        if t < level_end:  # committed: skip the rest of the level
             remaining = level_end - t
             arm = current.best
+            stream.skip(arm, remaining)
             policy.advance_exploitation(remaining)
             pull_counts[arm] += remaining
-            gap_arm = gaps[arm]
             if actions is not None:
                 actions.extend([arm] * remaining)
-            while cp_idx < len(checkpoints):
-                cp = checkpoints[cp_idx]
-                trajectory.append((cp, cum_gap + gap_arm * (cp - t)))
-                cp_idx += 1
+            gap_arm, start = gaps[arm], t
+            while t < next_cp <= level_end:
+                t = next_cp
+                trajectory.append((t, cum_gap + gap_arm * (t - start)))
+                next_cp = min(2 * t, horizon)
             cum_gap += gap_arm * remaining
             t = level_end
 
@@ -448,22 +434,17 @@ def memory_audit(policy_configs, K_grid) -> list[MemoryAuditRow]:
     """
     if not K_grid:
         raise ValueError("K grid must be non-empty")
+    instances = {K: make_linear_gaps(K) for K in K_grid}  # raises for K < 2
     rows = []
-    instances = {K: make_linear_gaps(K) if K >= 2 else None for K in K_grid}
     for cfg in policy_configs:
         for K in K_grid:
-            instance = instances[K]
-            if instance is None:
-                raise ValueError("memory audit needs K >= 2")
             policy = make_policy(cfg, K, AUDIT_HORIZON)
             at_reset = policy.state_words()
             peak = at_reset
-            stream = RewardStream(instance, AUDIT_SEED)
+            stream = RewardStream(instances[K], AUDIT_SEED)
             for _ in range(AUDIT_STEPS):
                 arm = policy.select_arm()
                 policy.observe(stream.draw(arm))
                 peak = max(peak, policy.state_words())
-            rows.append(
-                MemoryAuditRow(cfg.name, cfg.schedule_label(), K, at_reset, peak)
-            )
+            rows.append(MemoryAuditRow(cfg.name, cfg.schedule_label(), K, at_reset, peak))
     return rows

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -300,6 +301,37 @@ def test_unwritable_output_exits_3(tmp_path, capsys):
     code = cli.main(["run", "--T", "100", "--seeds", "1", "--out", str(blocker)])
     assert code == 3
     assert "error" in capsys.readouterr().err
+
+
+class _BrokenPool:
+    """Stands in for ProcessPoolExecutor: a pool whose worker died mid-map."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        raise BrokenProcessPool("a child process terminated abruptly")
+
+
+def test_broken_worker_pool_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", _BrokenPool)
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 2)
+    argv = ["run", "--policy", "constspace,ucb1", "--T", "50", "--seeds", "1", "--jobs", "2"]
+    code = cli.main(argv + ["--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "error: worker pool failed: a child process terminated abruptly\n"
+
+
+def test_memaudit_rejects_small_K(capsys):
+    assert cli.main(["memaudit", "--K", "1,10"]) == 2
+    assert "--K" in capsys.readouterr().err
 
 
 def test_presets_resolve():

@@ -137,6 +137,31 @@ def test_golden_stream_values():
     assert first == pytest.approx([0.324051827664, 0.650658430062, 0.558398397551], abs=1e-11)
 
 
+@pytest.mark.parametrize("arm", [bernoulli(0.3), beta_arm(2.0, 5.0)], ids=["bernoulli", "beta"])
+@pytest.mark.parametrize("drawn_before", [0, 3])
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 1000])
+def test_skip_leaves_stream_where_draws_would(arm, drawn_before, n):
+    # skip moves the pull index, possibly past the 256-draw chunk; the next
+    # draw must still be the one a fresh stream yields after as many draws
+    inst = BanditInstance((arm,), "x")
+    expected = RewardStream(inst, 7)
+    values = [expected.draw(0) for _ in range(drawn_before + n + 2)]
+    stream = RewardStream(inst, 7)
+    assert [stream.draw(0) for _ in range(drawn_before)] == values[:drawn_before]
+    stream.skip(0, n)
+    assert [stream.draw(0), stream.draw(0)] == values[drawn_before + n :]
+
+
+def test_skip_on_point_arm_and_bad_count():
+    inst = BanditInstance((point_mass(0.7), bernoulli(0.5)), "x")
+    stream = RewardStream(inst, 5)
+    stream.skip(0, 1000)
+    assert stream.draw(0) == 0.7
+    assert 0 not in stream._buffers  # a point arm has no stream to move
+    with pytest.raises(ValueError):
+        stream.skip(1, -1)
+
+
 def test_empirical_means_match_declared_means():
     inst = BanditInstance((bernoulli(0.5), beta_arm(2.0, 5.0), point_mass(0.3)), "mix")
     stream = RewardStream(inst, 77)

@@ -290,12 +290,16 @@ def test_doubling_bulk_exploitation_rolls_level():
 
 
 def test_doubling_levels_cover_horizon():
+    # A single arm commits at construction, so every level exploits in bulk.
     total_T = 10**4
+    policy = DoublingPolicy(1)
     horizons = []
-    T = 10
-    while sum(horizons) < total_T:
-        horizons.append(T)
-        T = T * T
+    for inner in policy.levels():
+        horizons.append(inner.horizon)
+        steps = min(inner.horizon, total_T - policy.t_total)
+        policy.advance_exploitation(steps)
+        if policy.t_total == total_T:
+            break
     assert horizons == [10, 100, 10**4]
     assert len(horizons) <= math.log2(math.log10(total_T)) + 1
 

@@ -222,7 +222,29 @@ def test_doubling_on_level_boundary_matches_oracle(kind, horizon):
     assert trace.level_log[-1][2] == 0 and trace.frozen
 
 
-def test_doubling_last_level_exploits_in_bulk(monkeypatch):
+# Both beta instances commit in level 2 at seed 0; the second has its best arm
+# at index 1. From T = 10111 level 3 draws again from the arm whose level-2
+# exploitation was skipped; at T = 20000 it closes rounds whose means read
+# those draws, so a stream left in the wrong place changes the records.
+_EARLY_COMMIT_INSTANCES = {
+    "beta_91_19": BanditInstance((beta_arm(9.0, 1.0), beta_arm(1.0, 9.0))),
+    "beta_19_91_55": BanditInstance(
+        (beta_arm(1.0, 9.0), beta_arm(9.0, 1.0), beta_arm(5.0, 5.0))
+    ),
+}
+
+
+@pytest.mark.parametrize("horizon", [10110, 10111, 20000])
+@pytest.mark.parametrize("kind", sorted(_EARLY_COMMIT_INSTANCES))
+def test_doubling_commit_before_last_level_matches_oracle(kind, horizon):
+    trace = assert_matches_step_driven(
+        PolicyConfig("doubling"), _EARLY_COMMIT_INSTANCES[kind], horizon, 0
+    )
+    commits = [rec.level for rec in trace.round_log if rec.event == "committed"]
+    assert 2 in commits and len(trace.level_log) > 3
+
+
+def test_doubling_committed_levels_exploit_in_bulk(monkeypatch):
     inst = make_custom([0.9, 0.6])
     cfg = PolicyConfig("doubling")
     draws = []
@@ -234,8 +256,11 @@ def test_doubling_last_level_exploits_in_bulk(monkeypatch):
 
     monkeypatch.setattr(RewardStream, "draw", counting_draw)
     trace = run_episode(cfg, inst, 20000, 0)
-    assert len(draws) == 14534  # the 5466 pulls after the level-3 commit are not drawn
-    assert trace.round_log[-1].event == "committed" and trace.round_log[-1].level == 3
+    # Levels 0 and 1 run out mid-scan. Level 2 commits after 2214 of its
+    # 10^4 pulls and level 3 after 4424 of its 9890, so the 7786 and 5466
+    # pulls after those commits are skipped, not drawn.
+    assert len(draws) == 10 + 100 + 2214 + 4424 == 6748
+    assert [rec.level for rec in trace.round_log if rec.event == "committed"] == [2, 3]
     assert trace.level_log == [(0, 10, 10), (1, 100, 100), (2, 10**4, 10**4), (3, 10**8, 9890)]
     assert_matches_step_driven(cfg, inst, 20000, 0)
 
