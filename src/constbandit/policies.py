@@ -13,15 +13,14 @@ attribute outside the declared registers and configuration cannot be set.
 A finished round is reported as a ``RoundRecord``; the harness adds the
 per-arm pull tallies that the policy does not keep. The UCB1 baseline keeps
 per-arm tables and exists to exhibit the Theta(K) contrast in the memory
-audit.
+audit; ``observe`` also computes its next arm, so its ``select_arm`` is a
+read like the others'.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .confidence import round_budget
 from .schedules import GEOMETRIC, Schedule, next_precision
@@ -331,36 +330,50 @@ class Ucb1Policy:
     """Classic index policy: mean plus sqrt(2 ln t / n), per-arm tables.
 
     Pulls every arm once first; afterwards plays the argmax index with
-    ties going to the lowest arm id. Keeps 2K + 1 words of state.
+    ties going to the lowest arm id. ``observe`` updates the pulled arm's
+    entries and computes the next arm once, in an O(K) loop of Python
+    floats; ``select_arm`` reads it. Keeps 2K + 2 words of state: the two
+    tables, ``t`` and the stored next arm.
     """
+
+    __slots__ = ("n_arms", "counts", "means", "t", "arm")
 
     def __init__(self, n_arms: int):
         if n_arms < 1:
             raise ValueError("n_arms must be >= 1")
         self.n_arms = n_arms
-        self.counts = np.zeros(n_arms, dtype=np.int64)
-        self.means = np.zeros(n_arms, dtype=np.float64)
+        self.counts = [0] * n_arms
+        self.means = [0.0] * n_arms
         self.t = 0
+        self.arm = 0
 
     def select_arm(self) -> int:
-        """Pure read; ``observe`` recomputes the same choice."""
-        if self.t < self.n_arms:
-            return self.t
-        index = self.means + np.sqrt((2.0 * math.log(self.t)) / self.counts)
-        return int(np.argmax(index))
+        """Pure read of the arm the last ``observe`` chose."""
+        return self.arm
 
     def observe(self, reward: float):
         if not 0.0 <= reward <= 1.0:
             raise ValueError(f"reward must lie in [0, 1], got {reward!r}")
-        arm = self.select_arm()
-        n = int(self.counts[arm]) + 1
-        self.counts[arm] = n
-        self.means[arm] = (self.means[arm] * (n - 1) + reward) / n
+        counts, means, arm = self.counts, self.means, self.arm
+        n = counts[arm] + 1
+        counts[arm] = n
+        means[arm] = (means[arm] * (n - 1) + reward) / n
         self.t += 1
+        t = self.t
+        if t < self.n_arms:
+            self.arm = t
+            return CONTINUE
+        c = 2.0 * math.log(t)
+        best, top = 0, means[0] + math.sqrt(c / counts[0])
+        for i in range(1, self.n_arms):
+            index = means[i] + math.sqrt(c / counts[i])
+            if index > top:  # strict: ties keep the lowest arm id
+                best, top = i, index
+        self.arm = best
         return CONTINUE
 
     def state_words(self) -> int:
-        return 2 * self.n_arms + 1
+        return 2 * self.n_arms + 2
 
 
 def make_policy(config: PolicyConfig, n_arms: int, horizon: int):

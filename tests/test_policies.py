@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from constbandit import (
     ARM_DONE,
@@ -219,6 +222,8 @@ def test_undeclared_attribute_is_rejected():
     wrapper = DoublingPolicy(4)
     with pytest.raises(AttributeError):
         wrapper.arm_means = [0.0] * 4
+    with pytest.raises(AttributeError):
+        Ucb1Policy(4).arm_sums = [0.0] * 4
     assert set(ConstSpacePolicy.__slots__) == set(ConstSpacePolicy.REGISTERS) | {"n_arms", "schedule"}
     own = set(DoublingPolicy.__slots__) - {"n_arms", "schedule", "inner"}
     assert own == {"level", "level_horizon", "t_total"}
@@ -226,8 +231,9 @@ def test_undeclared_attribute_is_rejected():
 
 
 def test_ucb1_state_words_grow_linearly():
-    assert Ucb1Policy(100).state_words() == 201
-    assert Ucb1Policy(2).state_words() == 5
+    # both tables, t and the stored next arm
+    assert Ucb1Policy(100).state_words() == 202
+    assert Ucb1Policy(2).state_words() == 6
     assert DoublingPolicy(7).state_words() == ConstSpacePolicy(7, 100).state_words() + 3
     assert DoublingPolicy(7).state_words() == 23
 
@@ -243,22 +249,68 @@ def test_ucb1_initial_sweep_and_tiebreak():
 
 def test_ucb1_prefers_higher_index():
     policy = Ucb1Policy(2)
-    policy.counts[:] = 50
-    policy.means[:] = (0.9, 0.1)
-    policy.t = 100
-    bonus = math.sqrt(2.0 * math.log(100) / 50.0)
-    assert 0.9 + bonus > 0.1 + bonus  # index comparison this reduces to
-    assert policy.select_arm() == 0
+    rewards = (0.1, 0.9)
+    for _ in range(3):
+        policy.observe(rewards[policy.select_arm()])
+    assert policy.counts == [1, 2] and policy.t == 3
+    c = 2.0 * math.log(3)
+    assert 0.9 + math.sqrt(c / 2) > 0.1 + math.sqrt(c / 1)  # arm 1 leads, not by tie-break
+    assert policy.select_arm() == 1
 
 
 def test_ucb1_observe_updates_tables():
     policy = Ucb1Policy(2)
     policy.observe(1.0)  # sweep arm 0
     policy.observe(0.0)  # sweep arm 1
-    assert policy.counts.tolist() == [1, 1]
-    assert policy.means.tolist() == [1.0, 0.0]
+    assert policy.counts == [1, 1]
+    assert policy.means == [1.0, 0.0]
     with pytest.raises(ValueError):
         policy.observe(2.0)
+
+
+class NumpyUcb1:
+    """The numpy UCB1 index, recomputed on every ``select_arm``; reference
+    for ``Ucb1Policy``, whose loop must pick the same arm bit for bit."""
+
+    def __init__(self, n_arms):
+        self.n_arms = n_arms
+        self.counts = np.zeros(n_arms, dtype=np.int64)
+        self.means = np.zeros(n_arms, dtype=np.float64)
+        self.t = 0
+
+    def select_arm(self):
+        if self.t < self.n_arms:
+            return self.t
+        index = self.means + np.sqrt((2.0 * math.log(self.t)) / self.counts)
+        return int(np.argmax(index))
+
+    def observe(self, reward):
+        arm = self.select_arm()
+        n = int(self.counts[arm]) + 1
+        self.counts[arm] = n
+        self.means[arm] = (self.means[arm] * (n - 1) + reward) / n
+        self.t += 1
+
+
+_REWARD_SEQUENCES = st.one_of(
+    st.lists(st.floats(0.0, 1.0), max_size=300),
+    st.lists(st.sampled_from((0.0, 1.0)), max_size=300),
+    # all equal: every full sweep ends in an exact tie
+    st.tuples(st.floats(0.0, 1.0), st.integers(0, 300)).map(lambda p: [p[0]] * p[1]),
+)
+
+
+@given(n_arms=st.integers(1, 20), rewards=_REWARD_SEQUENCES)
+def test_ucb1_matches_numpy_index(n_arms, rewards):
+    policy, reference = Ucb1Policy(n_arms), NumpyUcb1(n_arms)
+    for reward in rewards:
+        assert policy.select_arm() == reference.select_arm()
+        policy.observe(reward)
+        reference.observe(reward)
+    assert policy.select_arm() == reference.select_arm()
+    assert policy.t == reference.t
+    assert policy.counts == reference.counts.tolist()
+    assert policy.means == reference.means.tolist()
 
 
 def test_doubling_level_schedule():

@@ -157,7 +157,7 @@ def step_driven(cfg, instance, horizon, seed):
     if doubling:
         level_log.append((policy.level, policy.level_horizon, level_steps))
     inner = policy.inner if doubling else policy
-    committed = inner.best if inner.phase == EXPLOIT else None
+    committed = inner.best if getattr(inner, "phase", None) == EXPLOIT else None
     return actions, committed, records, level_log
 
 
@@ -167,8 +167,11 @@ def assert_matches_step_driven(cfg, inst, horizon, seed):
     assert trace.action_log == actions
     assert trace.pull_counts == [actions.count(arm) for arm in range(inst.n_arms)]
     assert trace.committed_arm == committed
-    assert trace.frozen == (committed is None)
-    assert [replace(rec, pulls=()) for rec in trace.round_log] == records
+    if cfg.name == "ucb1":  # no rounds, so nothing to commit or freeze
+        assert trace.round_log is None and records == [] and not trace.frozen
+    else:
+        assert trace.frozen == (committed is None)
+        assert [replace(rec, pulls=()) for rec in trace.round_log] == records
     assert trace.level_log == level_log
     for tick, regret in trace.trajectory:
         expected = math.fsum(inst.gaps[arm] for arm in actions[:tick])
@@ -197,8 +200,9 @@ _ORACLE_INSTANCES = {
         PolicyConfig("constspace", polylog(0.5)),
         PolicyConfig("constspace", ADAPTIVE_RATIO),
         PolicyConfig("doubling", GEOMETRIC),
+        PolicyConfig("ucb1"),
     ],
-    ids=lambda cfg: f"{cfg.name}-{cfg.schedule.label()}",
+    ids=lambda cfg: cfg.name if cfg.name == "ucb1" else f"{cfg.name}-{cfg.schedule.label()}",
 )
 def test_run_episode_matches_step_driven_oracle(kind, cfg):
     inst = _ORACLE_INSTANCES[kind]
@@ -242,6 +246,34 @@ def test_doubling_commit_before_last_level_matches_oracle(kind, horizon):
     )
     commits = [rec.level for rec in trace.round_log if rec.event == "committed"]
     assert 2 in commits and len(trace.level_log) > 3
+
+
+@pytest.mark.parametrize("horizon", [10110, 10111, 20000])
+@pytest.mark.parametrize("kind", sorted(_EARLY_COMMIT_INSTANCES))
+def test_committed_level_leaves_stream_at_pull_count(monkeypatch, kind, horizon):
+    # Each arm's stream must end where one draw per pull would leave it:
+    # drawn plus skipped rewards equal the arm's pulls. The trace alone
+    # cannot show this at T = 10110 and 10111, where no later level reads
+    # the skipped arm's stream far enough to change a record.
+    inst = _EARLY_COMMIT_INSTANCES[kind]
+    moved = [0] * inst.n_arms
+    real_draw, real_skip = RewardStream.draw, RewardStream.skip
+
+    def counting_draw(self, arm):
+        moved[arm] += 1
+        return real_draw(self, arm)
+
+    def counting_skip(self, arm, n):
+        moved[arm] += n
+        real_skip(self, arm, n)
+
+    monkeypatch.setattr(RewardStream, "draw", counting_draw)
+    monkeypatch.setattr(RewardStream, "skip", counting_skip)
+    trace = run_episode(PolicyConfig("doubling"), inst, horizon, 0)
+    assert any(rec.event == "committed" for rec in trace.round_log)
+    for arm, spec in enumerate(inst.arms):
+        if spec.kind != "point":
+            assert moved[arm] == trace.pull_counts[arm], arm
 
 
 def test_doubling_committed_levels_exploit_in_bulk(monkeypatch):
