@@ -75,6 +75,8 @@ class ExperimentConfig:
             raise ConfigError("grid.T: horizons must be positive integers")
         if self.n_seeds < 1:
             raise ConfigError("grid.seeds: must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigError("grid.base_seed: must be >= 0")
         if self.jobs < 1:
             raise ConfigError("output.jobs: must be >= 1")
         if self.fmt not in ("csv", "json", "both"):
@@ -614,9 +616,6 @@ def _add_common_flags(sub):
     sub.add_argument("--T", help="comma list of horizons")
     sub.add_argument("--seeds", type=int, help="seeds per cell")
     sub.add_argument("--base-seed", type=int, dest="base_seed", help="first seed")
-    sub.add_argument("--jobs", type=int, help="parallel workers for suite cells")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--format", choices=["csv", "json", "both"], help="output formats")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -625,6 +624,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = subs.add_parser("run", help="run an experiment suite and emit CSV/JSON")
     _add_common_flags(run_p)
+    run_p.add_argument("--jobs", type=int, help="parallel workers for suite cells")
+    run_p.add_argument("--out", help="output directory")
+    run_p.add_argument("--format", choices=["csv", "json", "both"], help="output formats")
     run_p.set_defaults(func=cmd_run)
 
     verify_p = subs.add_parser("verify", help="check per-round guarantees on recorded episodes")

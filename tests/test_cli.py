@@ -151,6 +151,27 @@ def test_bad_flag_exits_2(capsys):
     assert cli.main(["run", "--frobnicate"]) == 2
 
 
+def test_run_rejects_negative_base_seed(tmp_path, capsys):
+    out = tmp_path / "neg"
+    code = cli.main(["run", "--T", "100", "--seeds", "1", "--base-seed", "-1", "--out", str(out)])
+    assert code == 2
+    assert "grid.base_seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_rejects_negative_env_seed(monkeypatch, capsys):
+    monkeypatch.setenv(cli.ENV_SEED, "-3")
+    assert cli.main(["verify", "--T", "100", "--seeds", "1"]) == 2
+    assert "grid.base_seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--out", "x"], ["--jobs", "2"], ["--format", "csv"]])
+def test_verify_rejects_run_only_flags(flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["verify", "--T", "100", "--seeds", "1", *flag]) == 2
+    assert not (tmp_path / "x").exists()
+
+
 def test_env_seed_overrides_base_seed(tmp_path, monkeypatch):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
