@@ -2,9 +2,10 @@
 
 Experiment configs live in flat INI files (one section per grid axis) and
 every field can be overridden by a flag; the CONSTBANDIT_SEED environment
-variable overrides the base seed last. All randomness flows from
-``base_seed + cell_index``; there is no wall-clock entropy anywhere, so a
-rerun with the same config is byte-identical regardless of --jobs.
+variable overrides the base seed last. Episode k of a cell is seeded
+``base_seed + cell_index * n_seeds + k``, and no other randomness is used
+(no wall-clock entropy anywhere), so a rerun with the same config is
+byte-identical regardless of --jobs.
 
 Exit codes: 0 success, 1 assertion failure, 2 config error, 3 I/O or OS error.
 """
@@ -205,7 +206,8 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
     return buf.getvalue()
 
 
-def config_from_ini(text: str) -> ExperimentConfig:
+def config_from_ini(text: str, output: bool = True) -> ExperimentConfig:
+    """Config from INI text; ``output=False`` ignores the ``[output]`` section."""
     parser = _ini_parser()
     try:
         parser.read_string(text)
@@ -250,7 +252,7 @@ def config_from_ini(text: str) -> ExperimentConfig:
                 cfg.base_seed = int(parser.get("grid", "base_seed"))
         except ValueError as exc:
             raise ConfigError(f"grid: {exc}") from exc
-    if parser.has_section("output"):
+    if output and parser.has_section("output"):
         cfg.out_dir = parser.get("output", "dir", fallback=cfg.out_dir)
         cfg.fmt = parser.get("output", "format", fallback=cfg.fmt)
         try:
@@ -328,7 +330,7 @@ def resolve_config(args) -> ExperimentConfig:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"config: cannot read {args.config!r}: {exc}") from exc
-        cfg = config_from_ini(text)
+        cfg = config_from_ini(text, output=args.command == "run")  # only run writes files
     else:
         cfg = default_config()
 

@@ -111,9 +111,12 @@ class BanditInstance:
 class RewardStream:
     """Seeded reward source; ``draw(arm)`` yields the arm's next sample.
 
-    Per arm: [generator, chunk, index into chunk]. ``skip`` only moves the
-    index, maybe past the chunk; ``_refill`` generates the chunks passed over
-    when the arm is next drawn.
+    Per arm: [generator, chunk, index into chunk], the chunk a list of
+    Python floats. ``draw`` on a buffered pull only reads and moves the
+    index; arm checks and generation happen on the refill path. ``skip``
+    only moves the index, maybe past the chunk; ``_refill`` generates the
+    chunks passed over when the arm is next drawn. A point arm keeps no
+    state and always takes the refill path.
     """
 
     def __init__(self, instance: BanditInstance, seed: int):
@@ -132,29 +135,41 @@ class RewardStream:
         if spec.kind == "bernoulli":
             for _ in range(chunks):
                 uniform = gen.random(_CHUNK)
-            state[1] = (uniform < spec.a).astype(np.float64)
+            state[1] = (uniform < spec.a).astype(np.float64).tolist()
         else:
             for _ in range(chunks):
-                state[1] = gen.beta(spec.a, spec.b, size=_CHUNK)
+                chunk = gen.beta(spec.a, spec.b, size=_CHUNK)
+            state[1] = chunk.tolist()
         return state
 
     def draw(self, arm: int) -> float:
-        if not 0 <= arm < self.instance.n_arms:
-            raise IndexError(f"arm {arm} out of range for {self.instance.n_arms} arms")
+        state = self._buffers.get(arm)
+        if state is not None:
+            i = state[2]
+            if i < _CHUNK:
+                state[2] = i + 1
+                return state[1][i]
+        return self._draw_refilled(arm)
+
+    def _draw_refilled(self, arm: int) -> float:
+        self._check_arm(arm)
         spec = self.instance.arms[arm]
         if spec.kind == "point":
             return spec.a
-        state = self._buffers.get(arm)
-        if state is None or state[2] >= _CHUNK:
-            state = self._refill(arm)
-        value = state[1][state[2]]
-        state[2] += 1
-        return float(value)
+        state = self._refill(arm)
+        i = state[2]
+        state[2] = i + 1
+        return state[1][i]
+
+    def _check_arm(self, arm: int) -> None:
+        if not 0 <= arm < self.instance.n_arms:
+            raise IndexError(f"arm {arm} out of range for {self.instance.n_arms} arms")
 
     def skip(self, arm: int, n: int) -> None:
         """Leave the arm's stream where ``n`` calls of ``draw`` would."""
         if n < 0:
             raise ValueError("n must be >= 0")
+        self._check_arm(arm)
         if self.instance.arms[arm].kind != "point":
             self._buffers.setdefault(arm, [None, None, _CHUNK])[2] += n
 

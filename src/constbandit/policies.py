@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import sqrt
 
 from .confidence import round_budget
 from .schedules import GEOMETRIC, Schedule, next_precision
@@ -187,22 +188,24 @@ class ConstSpacePolicy:
         """
         if not 0.0 <= reward <= 1.0:
             raise ValueError(f"reward must lie in [0, 1], got {reward!r}")
-        if self.t >= self.horizon:
+        t = self.t
+        if t >= self.horizon:
             raise RuntimeError("horizon exhausted: no further observations accepted")
-        self.t += 1
+        self.t = t + 1
         if self.phase == EXPLOIT:
             return CONTINUE
-        n = self.n + 1
+        n_old = self.n
+        n = n_old + 1
         self.n = n
-        self.mean_cur = (self.mean_cur * (n - 1) + reward) / n
+        mean = (self.mean_cur * n_old + reward) / n
+        self.mean_cur = mean
         if self.r > 1:
-            radius = math.sqrt(self.log_inv_delta / (2.0 * n))
-            ruled_out = self.mean_cur + radius < self.prev_mean - self.g_prev / 2.0
-        else:
-            ruled_out = False
-        if not ruled_out and n < self.budget:
+            radius = sqrt(self.log_inv_delta / (2.0 * n))
+            if mean + radius < self.prev_mean - self.g_prev / 2.0:
+                return self._finish_arm(True)
+        if n < self.budget:
             return CONTINUE
-        return self._finish_arm(ruled_out)
+        return self._finish_arm(False)
 
     def _finish_arm(self, ruled_out: bool):
         if not ruled_out:
@@ -300,27 +303,24 @@ class DoublingPolicy:
             self._next_level()
         return report
 
-    def advance_exploitation(self, steps: int) -> None:
-        """Skip ``steps`` exploitation pulls of the current level in bulk,
-        starting the next level if they finish this one."""
-        self.inner.advance_exploitation(steps)
-        self.t_total += steps
-        if self.inner.t >= self.level_horizon:
-            self._next_level()
-
     def _next_level(self) -> None:
         self.level += 1
         self.level_horizon = self.level_horizon**2
         self.inner = ConstSpacePolicy(self.n_arms, self.level_horizon, self.schedule)
 
     def levels(self):
-        """Yield each level's inner policy, a known-horizon episode; the next
-        comes only once the current one has run its full horizon."""
+        """Yield each level's inner policy, a known-horizon episode that the
+        caller steps directly instead of through ``select_arm``/``observe``.
+        A level's steps are counted once, when the caller asks for the next
+        level, which comes only once the current one has run its full
+        horizon."""
         while True:
             inner = self.inner
             yield inner
-            if self.inner is inner:
+            self.t_total += inner.t
+            if inner.t < self.level_horizon:
                 return
+            self._next_level()
 
     def state_words(self) -> int:
         return self.inner.state_words() + len(self.REGISTERS)
@@ -364,9 +364,9 @@ class Ucb1Policy:
             self.arm = t
             return CONTINUE
         c = 2.0 * math.log(t)
-        best, top = 0, means[0] + math.sqrt(c / counts[0])
+        best, top = 0, means[0] + sqrt(c / counts[0])
         for i in range(1, self.n_arms):
-            index = means[i] + math.sqrt(c / counts[i])
+            index = means[i] + sqrt(c / counts[i])
             if index > top:  # strict: ties keep the lowest arm id
                 best, top = i, index
         self.arm = best

@@ -15,12 +15,14 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from itertools import product
+from math import sqrt
 from statistics import fmean, stdev
 
 from .bounds import regret_bound, rmax_bound
 from .envs import BanditInstance, RewardStream, make_linear_gaps
 from .policies import (
     COMMITTED,
+    CONTINUE,
     ConstSpacePolicy,
     DoublingPolicy,
     PolicyConfig,
@@ -58,7 +60,8 @@ def run_episode(
     """Drive one policy through ``horizon`` select/sample/observe steps.
 
     The episode is a loop over levels, each a known-horizon episode: the
-    policy itself, or each restart of the doubling wrapper. A level is
+    policy itself, or each restart of the doubling wrapper, whose inner
+    policy is stepped directly (the wrapper only sequences levels). A level is
     stepped until it commits, and the rest of it is skipped in bulk:
     exploitation rewards never touch the policy or the pseudo-regret, and
     ``RewardStream.skip`` leaves the stream where drawing them would, so the
@@ -70,6 +73,7 @@ def run_episode(
     n_arms = instance.n_arms
     policy = make_policy(policy_config, n_arms, horizon)
     stream = RewardStream(instance, seed)
+    draw = stream.draw
     true_means = instance.means
     gaps = instance.gaps
 
@@ -103,10 +107,11 @@ def run_episode(
             round_pulls[i] = 0
             round_means[i] = 0.0
 
+        select_arm, observe = current.select_arm, current.observe
         while t < stop:
-            arm = policy.select_arm()
-            reward = stream.draw(arm)
-            report = policy.observe(reward)
+            arm = select_arm()
+            reward = draw(arm)
+            report = observe(reward)
             t += 1
             pull_counts[arm] += 1
             cum_gap += gaps[arm]
@@ -121,10 +126,10 @@ def run_episode(
                 round_pulls[arm] = n
                 m = (round_means[arm] * (n - 1) + reward) / n
                 round_means[arm] = m
-                if clean and abs(m - true_means[arm]) > math.sqrt(log_inv_delta / (2.0 * n)):
+                if clean and abs(m - true_means[arm]) > sqrt(log_inv_delta / (2.0 * n)):
                     clean = False
 
-                if type(report) is RoundRecord:
+                if report is not CONTINUE and type(report) is RoundRecord:
                     completed_rounds += 1
                     round_records.append(replace(report, level=level, pulls=tuple(round_pulls)))
                     for i in range(n_arms):
@@ -137,7 +142,7 @@ def run_episode(
             remaining = level_end - t
             arm = current.best
             stream.skip(arm, remaining)
-            policy.advance_exploitation(remaining)
+            current.advance_exploitation(remaining)
             pull_counts[arm] += remaining
             if actions is not None:
                 actions.extend([arm] * remaining)
@@ -296,7 +301,12 @@ def check_lemma_assertions(
 
 @dataclass
 class RegretReport:
-    """Aggregated result for one (policy, instance, horizon) cell."""
+    """Aggregated result for one (policy, instance, horizon) cell.
+
+    The round statistics (``r_max_mean``, ``clean_event_rate``,
+    ``best_commit_rate``) are NaN for UCB1, which has no rounds, clean
+    event or commitment, and for a failed cell.
+    """
 
     policy: str
     schedule: str
@@ -348,6 +358,14 @@ def _run_cell(cell):
             [tick, fmean(tr.trajectory[idx][1] for tr in traces)]
             for idx, (tick, _) in enumerate(traces[0].trajectory)
         ]
+        if policy_config.name == "ucb1":  # no rounds, clean event or commitment
+            r_max_mean = clean_event_rate = best_commit_rate = float("nan")
+        else:
+            r_max_mean = fmean(tr.r_max_observed for tr in traces)
+            clean_event_rate = fmean(1.0 if tr.clean_event else 0.0 for tr in traces)
+            best_commit_rate = fmean(
+                1.0 if tr.committed_arm == instance.best else 0.0 for tr in traces
+            )
         report = RegretReport(
             **label_kwargs,
             regrets=regrets,
@@ -355,11 +373,9 @@ def _run_cell(cell):
             stddev_regret=stdev(regrets) if len(regrets) > 1 else 0.0,
             bound_value=bound,
             state_words=traces[0].policy_words,
-            r_max_mean=fmean(tr.r_max_observed for tr in traces),
-            clean_event_rate=fmean(1.0 if tr.clean_event else 0.0 for tr in traces),
-            best_commit_rate=fmean(
-                1.0 if tr.committed_arm == instance.best else 0.0 for tr in traces
-            ),
+            r_max_mean=r_max_mean,
+            clean_event_rate=clean_event_rate,
+            best_commit_rate=best_commit_rate,
             trajectory_mean=trajectory_mean,
         )
     except Exception as exc:  # a failed cell is recorded, not fatal to the suite

@@ -268,6 +268,26 @@ def test_verify_uses_run_seed_rule(monkeypatch, capsys):
     assert reports[1].seeds == [7, 8]
 
 
+@pytest.mark.parametrize("output", ["jobs = 0", "format = xml"])
+def test_verify_ignores_output_section(tmp_path, capsys, output):
+    # verify writes nothing, so an [output] value run would reject is not its concern
+    body = (
+        "[policy]\nnames = constspace\n"
+        "[instance]\nname = custom\nmeans = 0.9, 0.45\n"
+        "[grid]\nT = 300\nseeds = 2\nbase_seed = 3\n"
+    )
+    plain, with_output = tmp_path / "plain.ini", tmp_path / "output.ini"
+    plain.write_text(body)
+    with_output.write_text(body + f"[output]\n{output}\n")
+    assert cli.main(["verify", "--config", str(plain)]) == 0
+    expected = capsys.readouterr()
+    assert cli.main(["verify", "--config", str(with_output)]) == 0
+    assert capsys.readouterr() == expected
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--config", str(with_output), "--out", str(out_dir)]) == 2
+    assert "output." in capsys.readouterr().err and not out_dir.exists()
+
+
 def test_verify_rejects_ucb1_only(capsys):
     code = cli.main(["verify", "--policy", "ucb1", "--T", "300", "--seeds", "1"])
     assert code == 2

@@ -162,6 +162,60 @@ def test_skip_on_point_arm_and_bad_count():
         stream.skip(1, -1)
 
 
+def test_draw_returns_python_float():
+    inst = BanditInstance((bernoulli(0.5), beta_arm(2.0, 5.0), point_mass(0.3)), "mix")
+    stream = RewardStream(inst, 3)
+    for arm in range(inst.n_arms):
+        assert all(type(stream.draw(arm)) is float for _ in range(300)), arm
+
+
+def test_bad_arm_raises_before_and_after_buffering():
+    # The range check sits on the refill path; an arm that was never
+    # buffered must reach it however many draws the valid arms have made.
+    inst = BanditInstance((bernoulli(0.5), beta_arm(2.0, 5.0), point_mass(0.3)), "mix")
+    stream = RewardStream(inst, 3)
+    for bad in (-1, -3, 3, 10):
+        with pytest.raises(IndexError):
+            stream.draw(bad)
+    for arm in range(inst.n_arms):
+        for _ in range(5):
+            stream.draw(arm)
+    for bad in (-1, -3, 3, 10):
+        with pytest.raises(IndexError):
+            stream.draw(bad)
+        with pytest.raises(IndexError):
+            stream.skip(bad, 2)
+    assert sorted(stream._buffers) == [0, 1]
+
+
+# Pull index -> reward for seed 42, recorded from the numpy-array chunk
+# buffer that preceded the list-backed one. The indices straddle the 256-draw
+# chunk boundaries and the gap from 1024 to 1099 spans no boundary.
+_GOLDEN_PULLS = (0, 1, 254, 255, 256, 257, 511, 512, 513, 767, 768, 1023, 1024, 1099)
+_GOLDEN_BERNOULLI = (0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+_GOLDEN_BETA = (
+    0.6241412795920543, 0.3680437528773263, 0.5456408022731981, 0.4283599066362619,
+    0.23756955181322187, 0.20088240595991647, 0.5027820816074178, 0.3216410445262349,
+    0.5132145942473596, 0.1947376318010629, 0.5970996192016795, 0.32155001657235477,
+    0.4489571879339933, 0.2296072573625737,
+)
+
+
+def test_interleaved_skip_and_draw_match_golden_values():
+    inst = BanditInstance((bernoulli(0.5), beta_arm(2.0, 5.0)), "golden")
+    stream = RewardStream(inst, 42)
+    bern, beta = [], []
+    done = 0
+    for pull in _GOLDEN_PULLS:
+        stream.skip(0, pull - done)
+        bern.append(stream.draw(0))
+        stream.skip(1, pull - done)
+        beta.append(stream.draw(1))
+        done = pull + 1
+    assert tuple(bern) == _GOLDEN_BERNOULLI
+    assert beta == pytest.approx(_GOLDEN_BETA, abs=1e-12)
+
+
 def test_empirical_means_match_declared_means():
     inst = BanditInstance((bernoulli(0.5), beta_arm(2.0, 5.0), point_mass(0.3)), "mix")
     stream = RewardStream(inst, 77)

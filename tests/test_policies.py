@@ -331,14 +331,17 @@ def test_doubling_bulk_exploitation_rolls_level():
     policy = DoublingPolicy(1)  # a single arm commits at once in every level
     levels = policy.levels()
     first = next(levels)
-    policy.advance_exploitation(4)
-    assert policy.inner is first and policy.t_total == 4
-    policy.advance_exploitation(6)
-    assert policy.level == 1 and policy.inner is not first and policy.t_total == 10
-    assert next(levels) is policy.inner
+    first.advance_exploitation(4)
+    assert policy.inner is first and policy.t_total == 0  # counted at the level's end
+    first.advance_exploitation(6)
+    second = next(levels)
+    assert policy.level == 1 and second is policy.inner and second is not first
+    assert policy.t_total == 10
     with pytest.raises(ValueError):
-        policy.advance_exploitation(101)
+        second.advance_exploitation(101)
+    second.advance_exploitation(7)
     assert next(levels, None) is None  # the level did not finish: no next one
+    assert policy.level == 1 and policy.t_total == 17
 
 
 def test_doubling_levels_cover_horizon():
@@ -346,13 +349,14 @@ def test_doubling_levels_cover_horizon():
     total_T = 10**4
     policy = DoublingPolicy(1)
     horizons = []
+    done = 0
     for inner in policy.levels():
         horizons.append(inner.horizon)
-        steps = min(inner.horizon, total_T - policy.t_total)
-        policy.advance_exploitation(steps)
-        if policy.t_total == total_T:
-            break
+        steps = min(inner.horizon, total_T - done)
+        inner.advance_exploitation(steps)
+        done += steps
     assert horizons == [10, 100, 10**4]
+    assert policy.t_total == total_T and policy.level == 2
     assert len(horizons) <= math.log2(math.log10(total_T)) + 1
 
 

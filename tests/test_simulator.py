@@ -2,6 +2,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import constbandit.simulator as simulator
 from constbandit import (
@@ -25,7 +27,7 @@ from constbandit import (
     run_episode,
     run_suite,
 )
-from constbandit.policies import EXPLOIT, default_delta
+from constbandit.policies import EXPLOIT, EXPLORE, default_delta
 from constbandit.simulator import EpisodeTrace
 
 
@@ -132,47 +134,82 @@ def test_point_mass_two_round_structure():
 
 def step_driven(cfg, instance, horizon, seed):
     """Oracle for ``run_episode``: select, draw and observe for every one of
-    ``horizon`` steps, with no bulk exploitation fast-forward. For the
-    doubling wrapper it also logs (level, level horizon, steps run) per level,
-    watching ``DoublingPolicy.level`` change after each step, and tags each
-    round record with the level it closed in."""
+    ``horizon`` steps, with no bulk exploitation fast-forward.
+
+    From its own step log it rebuilds what the harness reports. For the
+    doubling wrapper: (level, level horizon, steps run) per level, watching
+    ``DoublingPolicy.level`` change after each step. Per round record: the
+    level it closed in and each arm's pulls in the round. The clean event:
+    on every explore pull, the arm's running mean in the round,
+    m_n = (m_{n-1} (n - 1) + reward) / n, stays within sqrt(ln(1/delta) / (2n))
+    of its true mean, with the delta of the pull's level. Returns the policy
+    too, for its final state."""
     policy = make_policy(cfg, instance.n_arms, horizon)
     doubling = isinstance(policy, DoublingPolicy)
     stream = RewardStream(instance, seed)
+    K = instance.n_arms
     actions, records = [], []
     level_log = [] if doubling else None
     level_steps = 0
+    clean = True
+    pulls, means = [0] * K, [0.0] * K
     for _ in range(horizon):
         level = policy.level if doubling else 0
         level_horizon = policy.level_horizon if doubling else horizon
+        inner = policy.inner if doubling else policy
+        exploring = getattr(inner, "phase", None) == EXPLORE
         arm = policy.select_arm()
-        report = policy.observe(stream.draw(arm))
+        reward = stream.draw(arm)
+        report = policy.observe(reward)
         actions.append(arm)
+        if exploring:
+            n = pulls[arm] + 1
+            pulls[arm] = n
+            means[arm] = (means[arm] * (n - 1) + reward) / n
+            radius = math.sqrt(inner.log_inv_delta / (2.0 * n))
+            if abs(means[arm] - instance.means[arm]) > radius:
+                clean = False
         if isinstance(report, RoundRecord):
-            records.append(replace(report, level=level))
+            records.append(replace(report, level=level, pulls=tuple(pulls)))
+            pulls, means = [0] * K, [0.0] * K
         level_steps += 1
         if doubling and policy.level != level:
             level_log.append((level, level_horizon, level_steps))
             level_steps = 0
+            pulls, means = [0] * K, [0.0] * K
     if doubling:
         level_log.append((policy.level, policy.level_horizon, level_steps))
     inner = policy.inner if doubling else policy
     committed = inner.best if getattr(inner, "phase", None) == EXPLOIT else None
-    return actions, committed, records, level_log
+    return actions, committed, records, level_log, clean, policy
 
 
 def assert_matches_step_driven(cfg, inst, horizon, seed):
-    trace = run_episode(cfg, inst, horizon, seed, action_log=True)
-    actions, committed, records, level_log = step_driven(cfg, inst, horizon, seed)
+    made = []
+
+    def keep_policy(*args):  # the policy run_episode drives, for its final state
+        made.append(make_policy(*args))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "make_policy", keep_policy)
+        trace = run_episode(cfg, inst, horizon, seed, action_log=True)
+    actions, committed, records, level_log, clean, oracle = step_driven(cfg, inst, horizon, seed)
     assert trace.action_log == actions
     assert trace.pull_counts == [actions.count(arm) for arm in range(inst.n_arms)]
     assert trace.committed_arm == committed
+    assert trace.clean_event == clean
     if cfg.name == "ucb1":  # no rounds, so nothing to commit or freeze
         assert trace.round_log is None and records == [] and not trace.frozen
     else:
         assert trace.frozen == (committed is None)
-        assert [replace(rec, pulls=()) for rec in trace.round_log] == records
+        assert trace.round_log == records
     assert trace.level_log == level_log
+    if cfg.name == "doubling":
+        (policy,) = made
+        final = (policy.level, policy.level_horizon, policy.t_total)
+        assert final == (oracle.level, oracle.level_horizon, oracle.t_total)
+        assert policy.t_total == horizon
     for tick, regret in trace.trajectory:
         expected = math.fsum(inst.gaps[arm] for arm in actions[:tick])
         assert regret == pytest.approx(expected, abs=1e-9)
@@ -208,6 +245,44 @@ def test_run_episode_matches_step_driven_oracle(kind, cfg):
     inst = _ORACLE_INSTANCES[kind]
     for seed in (0, 1):
         assert_matches_step_driven(cfg, inst, 20000, seed)
+
+
+# Means on a coarse ladder give gaps wide enough to commit within a few
+# thousand pulls; any float in [0, 1] gives near-ties.
+_RANDOM_MEANS = st.one_of(st.sampled_from([0.05, 0.2, 0.5, 0.8, 0.95]), st.floats(0.0, 1.0))
+_RANDOM_ARMS = st.one_of(
+    st.builds(bernoulli, _RANDOM_MEANS),
+    st.builds(beta_arm, st.sampled_from([0.5, 1.0, 2.0, 9.0]), st.floats(0.3, 10.0)),
+    st.builds(point_mass, _RANDOM_MEANS),
+)
+_RANDOM_CONFIGS = st.one_of(
+    # a loose delta override shrinks budgets and makes unclean episodes common
+    st.builds(
+        PolicyConfig,
+        st.just("constspace"),
+        st.sampled_from([GEOMETRIC, polylog(0.5), polylog(0.25), ADAPTIVE_RATIO]),
+        st.sampled_from([None, 0.05, 0.5, 0.9]),
+    ),
+    st.builds(
+        PolicyConfig, st.just("doubling"), st.sampled_from([GEOMETRIC, polylog(0.5), ADAPTIVE_RATIO])
+    ),
+)
+# Random horizons end mid-arm or mid-round; the listed ones end on a doubling
+# level boundary (10, 110, 10110) or one pull either side of it.
+_RANDOM_HORIZONS = st.one_of(
+    st.integers(1, 6000), st.sampled_from([9, 10, 11, 109, 110, 111, 10109, 10110, 10111])
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    arms=st.lists(_RANDOM_ARMS, min_size=2, max_size=6),
+    cfg=_RANDOM_CONFIGS,
+    horizon=_RANDOM_HORIZONS,
+    seed=st.integers(0, 2**16),
+)
+def test_run_episode_matches_oracle_on_random_episodes(arms, cfg, horizon, seed):
+    assert_matches_step_driven(cfg, BanditInstance(tuple(arms)), horizon, seed)
 
 
 # custom(0.9, 0.6) commits in level 2, so at T = 10110 the bulk exploitation
@@ -415,9 +490,21 @@ def test_run_suite_shapes_and_determinism():
     assert first.mean_regret == pytest.approx(sum(first.regrets) / 3)
     assert first.error is None
     again = run_suite(cfgs, [inst], [800], 3, base_seed=5, jobs=4)
-    assert reports == again
+    assert repr(reports) == repr(again)  # the ucb1 cell's NaN rates never compare equal
     with pytest.raises(ValueError):
         run_suite([], [inst], [800], 3)
+
+
+def test_ucb1_cell_reports_no_round_statistics():
+    inst = make_custom([0.9, 0.6])
+    ucb1, const = run_suite([PolicyConfig("ucb1"), PolicyConfig("constspace")], [inst], [500], 2)
+    assert ucb1.error is None and ucb1.mean_regret > 0.0
+    assert math.isnan(ucb1.r_max_mean)
+    assert math.isnan(ucb1.clean_event_rate)
+    assert math.isnan(ucb1.best_commit_rate)
+    # a round-based cell still reports its rates
+    assert const.clean_event_rate == 1.0 and not math.isnan(const.r_max_mean)
+    assert 0.0 <= const.best_commit_rate <= 1.0
 
 
 class _SerialPool:
