@@ -253,6 +253,9 @@ def config_from_ini(text: str, output: bool = True) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"grid: {exc}") from exc
     if output and parser.has_section("output"):
+        for key in parser["output"]:
+            if key not in ("dir", "format", "jobs"):
+                raise ConfigError(f"output.{key}: unknown key")
         cfg.out_dir = parser.get("output", "dir", fallback=cfg.out_dir)
         cfg.fmt = parser.get("output", "format", fallback=cfg.fmt)
         try:

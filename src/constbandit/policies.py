@@ -99,6 +99,11 @@ class ConstSpacePolicy:
 
     With a single arm there is nothing to compare; the policy commits to
     arm 0 at construction.
+
+    While exploring with ``t < horizon``, ``select_arm()`` returns the same
+    arm until ``observe`` reports a transition (anything but CONTINUE), so a
+    caller may select once per arm scan and feed that arm's rewards until
+    the report changes.
     """
 
     # Mutable scalar registers retained between steps. Configuration

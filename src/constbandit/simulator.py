@@ -40,8 +40,8 @@ class EpisodeTrace:
     round_log: list[RoundRecord] | None
     action_log: list[int] | None
     trajectory: list[tuple[int, float]]
-    clean_event: bool
-    r_max_observed: int
+    clean_event: bool | None  # None without rounds (UCB1)
+    r_max_observed: int | None
     committed_arm: int | None
     separated: bool
     frozen: bool
@@ -65,8 +65,18 @@ def run_episode(
     stepped until it commits, and the rest of it is skipped in bulk:
     exploitation rewards never touch the policy or the pseudo-regret, and
     ``RewardStream.skip`` leaves the stream where drawing them would, so the
-    trace is step-equivalent. Each round record gets its level and per-arm
-    pull tallies. ``action_log`` keeps the arm of every step.
+    trace is step-equivalent.
+
+    A level is stepped in arm segments. Each segment selects an arm once,
+    then draws and observes it until ``observe`` reports a transition or
+    the level stops; the constant-space policy keeps its arm until then. A
+    UCB1 segment is a single pull. The pseudo-regret, the checkpoints and
+    the clean-event running mean advance per pull, with the arm's gap, true
+    mean, round pulls and mean held in locals; pull tallies, the action
+    log and the arm's round pulls are settled once per segment. Each round
+    record gets its level and per-arm pull tallies. ``action_log`` keeps
+    the arm of every step. UCB1 has no rounds, so its trace reports the
+    clean event and ``r_max_observed`` as None.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -85,7 +95,6 @@ def run_episode(
 
     pull_counts = [0] * n_arms
     round_pulls = [0] * n_arms
-    round_means = [0.0] * n_arms
     clean = True
     rmax_seen = 0
 
@@ -105,36 +114,41 @@ def run_episode(
         completed_rounds = 0
         for i in range(n_arms):
             round_pulls[i] = 0
-            round_means[i] = 0.0
 
         select_arm, observe = current.select_arm, current.observe
         while t < stop:
             arm = select_arm()
-            reward = draw(arm)
-            report = observe(reward)
-            t += 1
-            pull_counts[arm] += 1
-            cum_gap += gaps[arm]
+            gap, start = gaps[arm], t
+            if round_based:  # an arm is scanned once per round: its tally starts at 0
+                mu, n, m = true_means[arm], 0, 0.0
+            while True:
+                reward = draw(arm)
+                report = observe(reward)
+                t += 1
+                cum_gap += gap
+                if t == next_cp:
+                    trajectory.append((t, cum_gap))
+                    next_cp = min(2 * t, horizon)
+                if round_based:  # a round-based level that is still stepping explores
+                    n += 1
+                    m = (m * (n - 1) + reward) / n
+                    if clean and abs(m - mu) > sqrt(log_inv_delta / (2.0 * n)):
+                        clean = False
+                    if report is not CONTINUE or t == stop:
+                        break
+                else:  # a UCB1 segment is one pull
+                    break
+
+            pull_counts[arm] += t - start
             if actions is not None:
-                actions.append(arm)
-            if t == next_cp:
-                trajectory.append((t, cum_gap))
-                next_cp = min(2 * t, horizon)
-
-            if round_based:  # a round-based level that is still stepping explores
-                n = round_pulls[arm] + 1
+                actions.extend([arm] * (t - start))
+            if round_based:
                 round_pulls[arm] = n
-                m = (round_means[arm] * (n - 1) + reward) / n
-                round_means[arm] = m
-                if clean and abs(m - true_means[arm]) > sqrt(log_inv_delta / (2.0 * n)):
-                    clean = False
-
-                if report is not CONTINUE and type(report) is RoundRecord:
+                if type(report) is RoundRecord:
                     completed_rounds += 1
                     round_records.append(replace(report, level=level, pulls=tuple(round_pulls)))
                     for i in range(n_arms):
                         round_pulls[i] = 0
-                        round_means[i] = 0.0
                     if report.event == COMMITTED:
                         break
 
@@ -173,8 +187,8 @@ def run_episode(
         round_log=round_records,
         action_log=actions,
         trajectory=trajectory,
-        clean_event=clean,
-        r_max_observed=max(0, rmax_seen),
+        clean_event=clean if round_based else None,
+        r_max_observed=max(0, rmax_seen) if round_based else None,
         committed_arm=committed_arm,
         separated=separated,
         frozen=frozen,
@@ -358,7 +372,7 @@ def _run_cell(cell):
             [tick, fmean(tr.trajectory[idx][1] for tr in traces)]
             for idx, (tick, _) in enumerate(traces[0].trajectory)
         ]
-        if policy_config.name == "ucb1":  # no rounds, clean event or commitment
+        if traces[0].clean_event is None:  # no rounds, clean event or commitment
             r_max_mean = clean_event_rate = best_commit_rate = float("nan")
         else:
             r_max_mean = fmean(tr.r_max_observed for tr in traces)

@@ -288,6 +288,24 @@ def test_verify_ignores_output_section(tmp_path, capsys, output):
     assert "output." in capsys.readouterr().err and not out_dir.exists()
 
 
+def test_output_section_rejects_unknown_keys(tmp_path, capsys):
+    # run rejects a misspelt [output] key as it does a [grid] one; verify
+    # ignores the whole section
+    config = tmp_path / "typo.ini"
+    config.write_text(
+        "[instance]\nname = custom\nmeans = 0.9, 0.45\n"
+        "[grid]\nT = 300\nseeds = 1\n"
+        "[output]\njbos = 0\n"
+    )
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out", str(out_dir)]) == 2
+    assert "output.jbos: unknown key" in capsys.readouterr().err and not out_dir.exists()
+    assert cli.main(["verify", "--config", str(config)]) == 0
+    with pytest.raises(cli.ConfigError, match="output.jbos"):
+        cli.config_from_ini(config.read_text())
+    assert cli.config_from_ini(config.read_text(), output=False).jobs == 1
+
+
 def test_verify_rejects_ucb1_only(capsys):
     code = cli.main(["verify", "--policy", "ucb1", "--T", "300", "--seeds", "1"])
     assert code == 2

@@ -6,8 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from constbandit import (
+    ADAPTIVE_RATIO,
     ARM_DONE,
     COMMITTED,
+    CONTINUE,
     ConstSpacePolicy,
     DoublingPolicy,
     GEOMETRIC,
@@ -358,6 +360,82 @@ def test_doubling_levels_cover_horizon():
     assert horizons == [10, 100, 10**4]
     assert policy.t_total == total_T and policy.level == 2
     assert len(horizons) <= math.log2(math.log10(total_T)) + 1
+
+
+def step_checking_segments(policy, reward_at, steps):
+    """Step a known-horizon policy for up to ``steps`` pulls, asserting the
+    scan contract the episode loop relies on: while exploring with
+    ``t < horizon``, ``select_arm()`` keeps its arm after every CONTINUE.
+    Returns the pulls stepped and the transition reports; a committed tail
+    is skipped in bulk."""
+    pulls, transitions = 0, []
+    while pulls < steps and policy.exploring:
+        arm = policy.select_arm()
+        report = policy.observe(reward_at(arm, pulls))
+        pulls += 1
+        if report is CONTINUE:
+            if policy.t < policy.horizon:
+                assert policy.exploring and policy.select_arm() == arm
+        else:
+            transitions.append(report)
+    if pulls < steps and not policy.exploring:
+        policy.advance_exploitation(min(steps - pulls, policy.horizon - policy.t))
+    return pulls, transitions
+
+
+_SEGMENT_SCHEDULES = st.sampled_from([GEOMETRIC, polylog(0.5), ADAPTIVE_RATIO])
+# Per-arm centres plus a cycled noise sequence, clipped to [0, 1]: arms differ
+# enough to be ruled out and to commit, and rewards still vary pull to pull.
+_SEGMENT_REWARDS = dict(
+    centres=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+    noise=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=40),
+)
+
+
+def _reward_at(centres, noise):
+    return lambda arm, i: min(1.0, max(0.0, centres[arm] + noise[i % len(noise)]))
+
+
+@given(
+    n_arms=st.integers(2, 6),
+    schedule=_SEGMENT_SCHEDULES,
+    delta=st.sampled_from([0.05, 0.2, 0.5]),
+    horizon=st.integers(1, 3000),
+    **_SEGMENT_REWARDS,
+)
+def test_select_arm_holds_between_transitions(n_arms, schedule, delta, horizon, centres, noise):
+    policy = ConstSpacePolicy(n_arms, horizon, schedule, delta=delta)
+    pulls, _ = step_checking_segments(policy, _reward_at(centres, noise), horizon)
+    assert policy.t == horizon and pulls <= horizon
+
+
+@given(
+    n_arms=st.integers(2, 6),
+    schedule=_SEGMENT_SCHEDULES,
+    horizon=st.integers(1, 2000),
+    **_SEGMENT_REWARDS,
+)
+def test_doubling_levels_hold_select_arm_between_transitions(
+    n_arms, schedule, horizon, centres, noise
+):
+    reward_at = _reward_at(centres, noise)
+    policy = DoublingPolicy(n_arms, schedule)
+    done = 0
+    for inner in policy.levels():
+        steps = min(inner.horizon, horizon - done)
+        step_checking_segments(inner, reward_at, steps)
+        done += steps
+    assert done == horizon == policy.t_total
+
+
+def test_segment_contract_sees_rule_outs_and_commits():
+    # the property tests above are vacuous unless scans end in every way
+    policy = ConstSpacePolicy(4, 3000, delta=0.5)
+    pulls, transitions = step_checking_segments(
+        policy, _reward_at([0.9, 0.1, 0.5, 0.2], [0.1, -0.1]), 3000
+    )
+    assert RULED_OUT in transitions and ARM_DONE in transitions
+    assert transitions[-1].event == COMMITTED and pulls < 3000
 
 
 def test_make_policy_dispatch():

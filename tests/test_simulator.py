@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 import constbandit.simulator as simulator
 from constbandit import (
     ADAPTIVE_RATIO,
+    CONTINUE,
     BanditInstance,
+    ConstSpacePolicy,
     DoublingPolicy,
     GEOMETRIC,
     PolicyConfig,
@@ -18,6 +20,7 @@ from constbandit import (
     bernoulli,
     check_lemma_assertions,
     make_custom,
+    make_linear_gaps,
     make_policy,
     memory_audit,
     next_precision,
@@ -142,8 +145,10 @@ def step_driven(cfg, instance, horizon, seed):
     level it closed in and each arm's pulls in the round. The clean event:
     on every explore pull, the arm's running mean in the round,
     m_n = (m_{n-1} (n - 1) + reward) / n, stays within sqrt(ln(1/delta) / (2n))
-    of its true mean, with the delta of the pull's level. Returns the policy
-    too, for its final state."""
+    of its true mean, with the delta of the pull's level. The pseudo-regret
+    after each pull, summed pull by pull in step order, and the number of
+    pulls stepped before the first exploitation pull (which ``run_episode``
+    skips in bulk). Returns the policy too, for its final state."""
     policy = make_policy(cfg, instance.n_arms, horizon)
     doubling = isinstance(policy, DoublingPolicy)
     stream = RewardStream(instance, seed)
@@ -153,15 +158,21 @@ def step_driven(cfg, instance, horizon, seed):
     level_steps = 0
     clean = True
     pulls, means = [0] * K, [0.0] * K
-    for _ in range(horizon):
+    regret, regret_sums, stepped = 0.0, [], None
+    for step in range(horizon):
         level = policy.level if doubling else 0
         level_horizon = policy.level_horizon if doubling else horizon
         inner = policy.inner if doubling else policy
-        exploring = getattr(inner, "phase", None) == EXPLORE
+        phase = getattr(inner, "phase", None)
+        exploring = phase == EXPLORE
+        if phase == EXPLOIT and stepped is None:
+            stepped = step
         arm = policy.select_arm()
         reward = stream.draw(arm)
         report = policy.observe(reward)
         actions.append(arm)
+        regret += instance.gaps[arm]
+        regret_sums.append(regret)
         if exploring:
             n = pulls[arm] + 1
             pulls[arm] = n
@@ -181,7 +192,8 @@ def step_driven(cfg, instance, horizon, seed):
         level_log.append((policy.level, policy.level_horizon, level_steps))
     inner = policy.inner if doubling else policy
     committed = inner.best if getattr(inner, "phase", None) == EXPLOIT else None
-    return actions, committed, records, level_log, clean, policy
+    stepped = horizon if stepped is None else stepped
+    return actions, committed, records, level_log, clean, regret_sums, stepped, policy
 
 
 def assert_matches_step_driven(cfg, inst, horizon, seed):
@@ -194,14 +206,17 @@ def assert_matches_step_driven(cfg, inst, horizon, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "make_policy", keep_policy)
         trace = run_episode(cfg, inst, horizon, seed, action_log=True)
-    actions, committed, records, level_log, clean, oracle = step_driven(cfg, inst, horizon, seed)
+    actions, committed, records, level_log, clean, regret_sums, stepped, oracle = step_driven(
+        cfg, inst, horizon, seed
+    )
     assert trace.action_log == actions
     assert trace.pull_counts == [actions.count(arm) for arm in range(inst.n_arms)]
     assert trace.committed_arm == committed
-    assert trace.clean_event == clean
-    if cfg.name == "ucb1":  # no rounds, so nothing to commit or freeze
+    if cfg.name == "ucb1":  # no rounds, so nothing to commit or freeze and no clean event
+        assert trace.clean_event is None and trace.r_max_observed is None
         assert trace.round_log is None and records == [] and not trace.frozen
     else:
+        assert trace.clean_event == clean
         assert trace.frozen == (committed is None)
         assert trace.round_log == records
     assert trace.level_log == level_log
@@ -211,8 +226,11 @@ def assert_matches_step_driven(cfg, inst, horizon, seed):
         assert final == (oracle.level, oracle.level_horizon, oracle.t_total)
         assert policy.t_total == horizon
     for tick, regret in trace.trajectory:
-        expected = math.fsum(inst.gaps[arm] for arm in actions[:tick])
-        assert regret == pytest.approx(expected, abs=1e-9)
+        if tick <= stepped:  # every pull so far was stepped: the same sum, bit for bit
+            assert regret == regret_sums[tick - 1], tick
+        else:  # a bulk skip adds gap * pulls in one product
+            expected = math.fsum(inst.gaps[arm] for arm in actions[:tick])
+            assert regret == pytest.approx(expected, abs=1e-9)
     return trace
 
 
@@ -370,6 +388,32 @@ def test_doubling_committed_levels_exploit_in_bulk(monkeypatch):
     assert [rec.level for rec in trace.round_log if rec.event == "committed"] == [2, 3]
     assert trace.level_log == [(0, 10, 10), (1, 100, 100), (2, 10**4, 10**4), (3, 10**8, 9890)]
     assert_matches_step_driven(cfg, inst, 20000, 0)
+
+
+@pytest.mark.parametrize("name", ["constspace", "doubling"])
+def test_episode_selects_once_per_arm_scan(monkeypatch, name):
+    # The step-driven path selected once per pull; the episode loop selects
+    # once per arm scan, so at most once per transition report plus once per
+    # level (for the scan the level ends in).
+    calls = {"select": 0, "observe": 0, "transitions": 0}
+    real_select, real_observe = ConstSpacePolicy.select_arm, ConstSpacePolicy.observe
+
+    def counting_select(self):
+        calls["select"] += 1
+        return real_select(self)
+
+    def counting_observe(self, reward):
+        report = real_observe(self, reward)
+        calls["observe"] += 1
+        calls["transitions"] += report is not CONTINUE
+        return report
+
+    monkeypatch.setattr(ConstSpacePolicy, "select_arm", counting_select)
+    monkeypatch.setattr(ConstSpacePolicy, "observe", counting_observe)
+    trace = run_episode(PolicyConfig(name), make_linear_gaps(4), 10**4, 0)
+    levels = len(trace.level_log) if trace.level_log else 1
+    assert calls["transitions"] >= 4 and calls["observe"] > 1000
+    assert 0 < calls["select"] <= calls["transitions"] + levels
 
 
 def test_pseudo_regret_arithmetic():
