@@ -22,7 +22,7 @@ import os
 import re
 import sys
 from concurrent.futures import BrokenExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product
 
 from . import envs, simulator
@@ -183,8 +183,9 @@ def _ini_parser() -> configparser.ConfigParser:
 def config_to_ini(cfg: ExperimentConfig) -> str:
     parser = _ini_parser()
     parser["policy"] = {"names": ", ".join(policy_spec_string(p) for p in cfg.policies)}
-    deltas = {p.delta_override for p in cfg.policies}
-    if deltas != {None}:
+    # config_from_ini gives the delta to the constspace policies only
+    deltas = {p.delta_override for p in cfg.policies if p.name == "constspace"}
+    if deltas - {None}:
         if len(deltas) != 1:
             raise ConfigError("policy.delta: per-policy overrides cannot be serialized")
         parser["policy"]["delta"] = repr(deltas.pop())
@@ -222,6 +223,8 @@ def config_from_ini(text: str, output: bool = True) -> ExperimentConfig:
                 delta = float(parser.get("policy", "delta"))
             except ValueError as exc:
                 raise ConfigError(f"policy.delta: {exc}") from exc
+            if not 0.0 < delta < 1.0:
+                raise ConfigError("policy.delta: must lie in (0, 1)")
             cfg.policies = [
                 PolicyConfig(p.name, p.schedule, delta if p.name == "constspace" else None)
                 for p in cfg.policies
@@ -405,7 +408,7 @@ def write_csv(reports, path: str) -> None:
 
 
 def reports_to_json(reports, cfg: ExperimentConfig | None = None) -> str:
-    payload = {"reports": [rep.to_dict() for rep in reports]}
+    payload = {"reports": [asdict(rep) for rep in reports]}
     if cfg is not None:
         payload["config"] = config_to_ini(cfg)
     return json.dumps(payload, indent=2)
@@ -416,13 +419,14 @@ def reports_from_json(text: str) -> list[simulator.RegretReport]:
     reports = []
     for d in payload["reports"]:
         d["trajectory_mean"] = [list(pair) for pair in d.get("trajectory_mean", [])]
-        reports.append(simulator.RegretReport.from_dict(d))
+        reports.append(simulator.RegretReport(**d))
     return reports
 
 
 def write_json(reports, path: str, cfg: ExperimentConfig | None = None) -> None:
+    text = reports_to_json(reports, cfg)  # built first: a config error leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(reports_to_json(reports, cfg))
+        fh.write(text)
         fh.write("\n")
 
 
@@ -506,7 +510,7 @@ def cmd_verify(args) -> int:
     instance = build_instance(cfg)
     if instance.delta_min is None:
         raise ConfigError("instance: all gaps zero; guarantees are undefined")
-    tallies = {name: [0, 0, 0] for name in simulator.CHECK_NAMES}  # pass, fail, vacuous
+    tallies = {name: [0, 0] for name in simulator.CHECK_NAMES}  # pass, fail
     clean_runs = 0
     episodes = 0
     failures = []
@@ -520,16 +524,15 @@ def cmd_verify(args) -> int:
             report = simulator.check_lemma_assertions(trace, instance, policy)
             episodes += 1
             clean_runs += 1 if report.clean_event else 0
-            for check in report.checks:
-                if check.vacuous:
-                    tallies[check.name][2] += 1
-                elif check.passed:
+            for check in report.checks:  # none on an unclean episode
+                if check.passed:
                     tallies[check.name][0] += 1
                 else:
                     tallies[check.name][1] += 1
                     failures.append(f"{check.name}: {check.detail}")
     print(f"episodes: {episodes}, clean: {clean_runs}")
-    for name, (passed, failed, vacuous) in tallies.items():
+    vacuous = episodes - clean_runs
+    for name, (passed, failed) in tallies.items():
         line = f"{name}: {passed}/{passed + failed} pass"
         if vacuous:
             line += f" ({vacuous} vacuous)"

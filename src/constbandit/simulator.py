@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from itertools import product
 from math import sqrt
 from statistics import fmean, stdev
@@ -33,8 +33,6 @@ from .policies import (
 
 @dataclass
 class EpisodeTrace:
-    n_arms: int
-    horizon: int
     steps: int
     pull_counts: list[int]
     round_log: list[RoundRecord] | None
@@ -72,11 +70,12 @@ def run_episode(
     the level stops; the constant-space policy keeps its arm until then. A
     UCB1 segment is a single pull. The pseudo-regret, the checkpoints and
     the clean-event running mean advance per pull, with the arm's gap, true
-    mean, round pulls and mean held in locals; pull tallies, the action
-    log and the arm's round pulls are settled once per segment. Each round
-    record gets its level and per-arm pull tallies. ``action_log`` keeps
-    the arm of every step. UCB1 has no rounds, so its trace reports the
-    clean event and ``r_max_observed`` as None.
+    mean, round pulls and mean held in locals; pull tallies and the action
+    log are settled once per segment. A round scans each arm once, in index
+    order, so its segments' pulls are its record's per-arm tallies, and
+    ``r_max_observed`` is the largest ``r - 1`` over the records.
+    ``action_log`` keeps the arm of every step. UCB1 has no rounds, so its
+    trace reports the clean event and ``r_max_observed`` as None.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -94,9 +93,7 @@ def run_episode(
     level_log: list[tuple[int, int, int]] | None = [] if doubling else None
 
     pull_counts = [0] * n_arms
-    round_pulls = [0] * n_arms
     clean = True
-    rmax_seen = 0
 
     # Regret checkpoints at t = 1, 2, 4, ... and at the horizon.
     trajectory: list[tuple[int, float]] = []
@@ -111,9 +108,7 @@ def run_episode(
             stop = level_end if current.exploring else t
         else:
             stop = level_end = horizon
-        completed_rounds = 0
-        for i in range(n_arms):
-            round_pulls[i] = 0
+        scanned: list[int] = []  # pulls of each arm scanned in the current round
 
         select_arm, observe = current.select_arm, current.observe
         while t < stop:
@@ -143,12 +138,10 @@ def run_episode(
             if actions is not None:
                 actions.extend([arm] * (t - start))
             if round_based:
-                round_pulls[arm] = n
+                scanned.append(n)
                 if type(report) is RoundRecord:
-                    completed_rounds += 1
-                    round_records.append(replace(report, level=level, pulls=tuple(round_pulls)))
-                    for i in range(n_arms):
-                        round_pulls[i] = 0
+                    round_records.append(replace(report, level=level, pulls=tuple(scanned)))
+                    scanned = []
                     if report.event == COMMITTED:
                         break
 
@@ -170,25 +163,23 @@ def run_episode(
 
         if level_log is not None:
             level_log.append((level, current.horizon, current.t))
-        rmax_seen = max(rmax_seen, completed_rounds - 1)
 
     if round_based:
         frozen = current.exploring
         committed_arm = None if frozen else current.best
         separated = current.separated
+        r_max = max((rec.r - 1 for rec in round_records), default=0)
     else:
-        committed_arm, separated, frozen = None, False, False
+        committed_arm, separated, frozen, r_max = None, False, False, None
 
     return EpisodeTrace(
-        n_arms=n_arms,
-        horizon=horizon,
         steps=t,
         pull_counts=pull_counts,
         round_log=round_records,
         action_log=actions,
         trajectory=trajectory,
         clean_event=clean if round_based else None,
-        r_max_observed=max(0, rmax_seen) if round_based else None,
+        r_max_observed=r_max,
         committed_arm=committed_arm,
         separated=separated,
         frozen=frozen,
@@ -208,22 +199,23 @@ def pseudo_regret(trace: EpisodeTrace, instance: BanditInstance) -> float:
 class LemmaCheck:
     name: str
     passed: bool
-    vacuous: bool = False
     detail: str = ""
 
 
 @dataclass(frozen=True)
 class LemmaReport:
+    """The checks of one episode; an unclean episode has none."""
+
     clean_event: bool
     checks: tuple[LemmaCheck, ...]
 
     @property
     def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks if not c.vacuous)
+        return all(c.passed for c in self.checks)
 
     @property
     def failures(self) -> tuple[LemmaCheck, ...]:
-        return tuple(c for c in self.checks if not c.vacuous and not c.passed)
+        return tuple(c for c in self.checks if not c.passed)
 
 
 CHECK_NAMES = (
@@ -240,8 +232,8 @@ def check_lemma_assertions(
 ) -> LemmaReport:
     """Verify the conditional per-round guarantees against a recorded trace.
 
-    All checks are conditional on the clean event; on unclean episodes every
-    check is reported vacuous. Checked per completed round: the round's
+    All checks are conditional on the clean event, so an unclean episode's
+    report has no checks. Checked per completed round: the round's
     reported best arm and the true best arm received their full budget
     (neither was ruled out early); the reported best mean sits within g/2 of
     the true best mean; the number of completed rounds respects the
@@ -255,11 +247,7 @@ def check_lemma_assertions(
     if delta_min is None:
         raise ValueError("instance has no positive gap; guarantees are undefined")
     if not trace.clean_event:
-        checks = tuple(
-            LemmaCheck(name, True, vacuous=True, detail="clean event failed")
-            for name in CHECK_NAMES
-        )
-        return LemmaReport(False, checks)
+        return LemmaReport(False, ())
 
     gaps = instance.gaps
     true_best = instance.best
@@ -319,7 +307,8 @@ class RegretReport:
 
     The round statistics (``r_max_mean``, ``clean_event_rate``,
     ``best_commit_rate``) are NaN for UCB1, which has no rounds, clean
-    event or commitment, and for a failed cell.
+    event or commitment. A failed cell carries its labels and ``error``;
+    every other field keeps its default.
     """
 
     policy: str
@@ -328,23 +317,16 @@ class RegretReport:
     n_arms: int
     horizon: int
     seeds: list[int]
-    regrets: list[float]
-    mean_regret: float
-    stddev_regret: float
-    bound_value: float
-    state_words: int
-    r_max_mean: float
-    clean_event_rate: float
-    best_commit_rate: float
+    regrets: list[float] = field(default_factory=list)
+    mean_regret: float = math.nan
+    stddev_regret: float = math.nan
+    bound_value: float = math.nan
+    state_words: int = 0
+    r_max_mean: float = math.nan
+    clean_event_rate: float = math.nan
+    best_commit_rate: float = math.nan
     trajectory_mean: list[list[float]] = field(default_factory=list)
     error: str | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RegretReport":
-        return cls(**d)
 
 
 def _cell_seeds(base_seed: int, cell_index: int, n_seeds: int) -> list[int]:
@@ -372,13 +354,12 @@ def _run_cell(cell):
             [tick, fmean(tr.trajectory[idx][1] for tr in traces)]
             for idx, (tick, _) in enumerate(traces[0].trajectory)
         ]
-        if traces[0].clean_event is None:  # no rounds, clean event or commitment
-            r_max_mean = clean_event_rate = best_commit_rate = float("nan")
-        else:
-            r_max_mean = fmean(tr.r_max_observed for tr in traces)
-            clean_event_rate = fmean(1.0 if tr.clean_event else 0.0 for tr in traces)
-            best_commit_rate = fmean(
-                1.0 if tr.committed_arm == instance.best else 0.0 for tr in traces
+        round_stats = {}
+        if traces[0].clean_event is not None:  # UCB1 has no rounds, clean event or commitment
+            round_stats = dict(
+                r_max_mean=fmean(tr.r_max_observed for tr in traces),
+                clean_event_rate=fmean(1.0 if tr.clean_event else 0.0 for tr in traces),
+                best_commit_rate=fmean(1.0 if tr.committed_arm == instance.best else 0.0 for tr in traces),
             )
         report = RegretReport(
             **label_kwargs,
@@ -387,24 +368,11 @@ def _run_cell(cell):
             stddev_regret=stdev(regrets) if len(regrets) > 1 else 0.0,
             bound_value=bound,
             state_words=traces[0].policy_words,
-            r_max_mean=r_max_mean,
-            clean_event_rate=clean_event_rate,
-            best_commit_rate=best_commit_rate,
             trajectory_mean=trajectory_mean,
+            **round_stats,
         )
     except Exception as exc:  # a failed cell is recorded, not fatal to the suite
-        report = RegretReport(
-            **label_kwargs,
-            regrets=[],
-            mean_regret=float("nan"),
-            stddev_regret=float("nan"),
-            bound_value=float("nan"),
-            state_words=0,
-            r_max_mean=float("nan"),
-            clean_event_rate=float("nan"),
-            best_commit_rate=float("nan"),
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        report = RegretReport(**label_kwargs, error=f"{type(exc).__name__}: {exc}")
     return index, report
 
 

@@ -71,6 +71,46 @@ def test_config_ini_round_trip():
         horizons=[100],
     )
     assert cli.config_from_ini(cli.config_to_ini(odd_eps_cfg)) == odd_eps_cfg
+    delta_beside_cfg = cli.ExperimentConfig(  # the INI delta reaches constspace only
+        policies=[
+            PolicyConfig("constspace", delta_override=0.01),
+            PolicyConfig("doubling"),
+            PolicyConfig("ucb1"),
+        ],
+        horizons=[100],
+    )
+    assert cli.config_from_ini(cli.config_to_ini(delta_beside_cfg)) == delta_beside_cfg
+
+
+def test_run_writes_json_for_delta_beside_other_policies(tmp_path):
+    config = tmp_path / "delta.ini"
+    config.write_text(
+        "[policy]\nnames = constspace, doubling\ndelta = 0.01\n"
+        "[instance]\nname = custom\nmeans = 0.9, 0.6\n"
+        "[grid]\nT = 300\nseeds = 1\n"
+    )
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+    text = (out / "results.json").read_text()
+    assert [rep.policy for rep in cli.reports_from_json(text)] == ["constspace", "doubling"]
+    saved = cli.config_from_ini(json.loads(text)["config"])
+    assert [p.delta_override for p in saved.policies] == [0.01, None]
+
+
+@pytest.mark.parametrize("delta", ["2", "0", "1", "nan", "-0.5"])
+def test_config_rejects_delta_outside_unit_interval(tmp_path, capsys, delta):
+    config = tmp_path / "delta.ini"
+    config.write_text(
+        f"[policy]\nnames = constspace\ndelta = {delta}\n"
+        "[instance]\nname = custom\nmeans = 0.9, 0.6\n"
+        "[grid]\nT = 300\nseeds = 1\n"
+    )
+    assert cli.main(["verify", "--config", str(config)]) == 2
+    assert "policy.delta: must lie in (0, 1)" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert "policy.delta: must lie in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_rejects_unknown_keys():
@@ -213,6 +253,23 @@ def test_verify_passes_on_point_instance(capsys):
     assert code == 0
     assert "best_arm_full_budget: 2/2 pass" in out
     assert "schedule grid" in out
+
+
+def test_verify_counts_unclean_episodes_vacuous(tmp_path, capsys):
+    # a loose delta leaves some episodes unclean; every check is vacuous on each
+    config = tmp_path / "loose.ini"
+    config.write_text(
+        "[policy]\nnames = constspace\ndelta = 0.2\n"
+        "[instance]\nname = custom\nmeans = 0.9, 0.8, 0.5\n"
+        "[grid]\nT = 3000, 20000\nseeds = 6\n"
+    )
+    assert cli.main(["verify", "--config", str(config)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    episodes, clean = (int(part.split(": ")[1]) for part in lines[0].split(", "))
+    assert episodes == 12 and 0 < clean < episodes
+    check_lines = lines[1 : 1 + len(simulator.CHECK_NAMES)]
+    for name, line in zip(simulator.CHECK_NAMES, check_lines):
+        assert line == f"{name}: {clean}/{clean} pass ({episodes - clean} vacuous)"
 
 
 def test_verify_flags_injected_failure(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -31,7 +32,7 @@ from constbandit import (
     run_suite,
 )
 from constbandit.policies import EXPLOIT, EXPLORE, default_delta
-from constbandit.simulator import EpisodeTrace
+from constbandit.simulator import EpisodeTrace, LemmaReport
 
 
 def reference_run(means, horizon, schedule=GEOMETRIC):
@@ -142,7 +143,8 @@ def step_driven(cfg, instance, horizon, seed):
     From its own step log it rebuilds what the harness reports. For the
     doubling wrapper: (level, level horizon, steps run) per level, watching
     ``DoublingPolicy.level`` change after each step. Per round record: the
-    level it closed in and each arm's pulls in the round. The clean event:
+    level it closed in and each arm's pulls in the round. The largest number
+    of rounds closed in one level, counted from those records. The clean event:
     on every explore pull, the arm's running mean in the round,
     m_n = (m_{n-1} (n - 1) + reward) / n, stays within sqrt(ln(1/delta) / (2n))
     of its true mean, with the delta of the pull's level. The pseudo-regret
@@ -193,7 +195,8 @@ def step_driven(cfg, instance, horizon, seed):
     inner = policy.inner if doubling else policy
     committed = inner.best if getattr(inner, "phase", None) == EXPLOIT else None
     stepped = horizon if stepped is None else stepped
-    return actions, committed, records, level_log, clean, regret_sums, stepped, policy
+    most_rounds = max(Counter(rec.level for rec in records).values(), default=0)
+    return actions, committed, records, level_log, clean, regret_sums, stepped, most_rounds, policy
 
 
 def assert_matches_step_driven(cfg, inst, horizon, seed):
@@ -206,8 +209,8 @@ def assert_matches_step_driven(cfg, inst, horizon, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "make_policy", keep_policy)
         trace = run_episode(cfg, inst, horizon, seed, action_log=True)
-    actions, committed, records, level_log, clean, regret_sums, stepped, oracle = step_driven(
-        cfg, inst, horizon, seed
+    actions, committed, records, level_log, clean, regret_sums, stepped, most_rounds, oracle = (
+        step_driven(cfg, inst, horizon, seed)
     )
     assert trace.action_log == actions
     assert trace.pull_counts == [actions.count(arm) for arm in range(inst.n_arms)]
@@ -219,6 +222,7 @@ def assert_matches_step_driven(cfg, inst, horizon, seed):
         assert trace.clean_event == clean
         assert trace.frozen == (committed is None)
         assert trace.round_log == records
+        assert trace.r_max_observed == max(0, most_rounds - 1)
     assert trace.level_log == level_log
     if cfg.name == "doubling":
         (policy,) = made
@@ -470,8 +474,6 @@ def test_lemma_checks_reject_degenerate_instance():
 
 def _synthetic_trace(round_log, clean=True):
     return EpisodeTrace(
-        n_arms=2,
-        horizon=1000,
         steps=1000,
         pull_counts=[500, 500],
         round_log=round_log,
@@ -511,9 +513,8 @@ def test_lemma_checks_vacuous_without_clean_event():
         event="round_done", separated=False,
     )
     report = check_lemma_assertions(_synthetic_trace([bad], clean=False), inst, cfg)
-    assert not report.clean_event
-    assert all(c.vacuous for c in report.checks)
-    assert report.all_pass  # nothing non-vacuous to fail
+    assert report == LemmaReport(False, ())  # the conditional checks are vacuous
+    assert report.all_pass and not report.failures
 
 
 def test_doubling_episode_levels():
