@@ -225,6 +225,8 @@ def config_from_ini(text: str, output: bool = True) -> ExperimentConfig:
                 raise ConfigError(f"policy.delta: {exc}") from exc
             if not 0.0 < delta < 1.0:
                 raise ConfigError("policy.delta: must lie in (0, 1)")
+            if not any(p.name == "constspace" for p in cfg.policies):
+                raise ConfigError("policy.delta: applies to constspace policies only, and none is named")
             cfg.policies = [
                 PolicyConfig(p.name, p.schedule, delta if p.name == "constspace" else None)
                 for p in cfg.policies

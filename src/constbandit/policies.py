@@ -10,18 +10,20 @@ half-width ``g``, keeping only the best and second-best round means plus
 the previous round's reference. Its register count is a fixed constant
 regardless of the number of arms, and ``__slots__`` holds it to that: an
 attribute outside the declared registers and configuration cannot be set.
-A finished round is reported as a ``RoundRecord``; the harness adds the
-per-arm pull tallies that the policy does not keep. The UCB1 baseline keeps
-per-arm tables and exists to exhibit the Theta(K) contrast in the memory
-audit; ``observe`` also computes its next arm, so its ``select_arm`` is a
-read like the others'.
+``state_words()`` counts the set slots of the object itself, and a
+constant-space register holding a container fails the count. A finished
+round is reported as a ``RoundRecord``; the harness adds the per-arm pull
+tallies that the policy does not keep. The UCB1 baseline keeps per-arm
+tables and exists to exhibit the Theta(K) contrast in the memory audit;
+``observe`` also computes its next arm, so its ``select_arm`` is a read
+like the others'.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import sqrt
+from math import log, sqrt
 
 from .confidence import round_budget
 from .schedules import GEOMETRIC, Schedule, next_precision
@@ -37,7 +39,17 @@ COMMITTED = "committed"
 
 
 def default_delta(horizon: int) -> float:
-    """Per-deviation failure probability 1/T^3, clamped to 1/8 for T < 2."""
+    """Per-deviation failure probability 1/T^3, clamped to 1/8 for T < 2.
+
+    The clean event needs every per-pull running mean to stay within
+    ``sqrt(ln(1/delta) / 2n)`` of its arm's true mean. By two-sided
+    Hoeffding each such check fails with probability at most 2 delta, and
+    an episode makes at most T checks, so the clean event fails with
+    probability at most 2 T delta. The regret of a failed episode is at
+    most T, so E[regret] <= E[regret | clean] + 2 T^2 delta. At 1/T^3 the
+    failure term is at most 2/T; 1/T^2 would already keep it at most 2
+    while cutting ln(1/delta) from 3 ln T to 2 ln T.
+    """
     if horizon < 2:
         return 0.125
     return 1.0 / float(horizon) ** 3
@@ -85,6 +97,28 @@ class RoundRecord:
     pulls: tuple[int, ...] = ()
 
 
+def _state_words(policy, scalars_only: bool = False) -> int:
+    """Words a policy holds between steps, counted from its set slots.
+
+    Configuration slots (``CONFIG``) are inputs and are not counted. A
+    scalar (number, string, None) is one word and a list one word per
+    entry; ``scalars_only`` rejects lists too, and any other value is
+    rejected, so a table cannot hide in a register.
+    """
+    words = 0
+    for name in type(policy).__slots__:
+        if name in policy.CONFIG or not hasattr(policy, name):
+            continue
+        value = getattr(policy, name)
+        if value is None or isinstance(value, (int, float, str)):
+            words += 1
+        elif isinstance(value, list) and not scalars_only:
+            words += len(value)
+        else:
+            raise TypeError(f"{type(policy).__name__}.{name} holds a {type(value).__name__}, not a word")
+    return words
+
+
 class ConstSpacePolicy:
     """Round-based UCB holding a constant number of scalar registers.
 
@@ -108,6 +142,7 @@ class ConstSpacePolicy:
 
     # Mutable scalar registers retained between steps. Configuration
     # (n_arms, schedule) counts as input, not estimator state.
+    CONFIG = ("n_arms", "schedule")
     REGISTERS = (
         "phase",
         "r",
@@ -130,7 +165,7 @@ class ConstSpacePolicy:
         "survivors",
         "separated",
     )
-    __slots__ = REGISTERS + ("n_arms", "schedule")
+    __slots__ = REGISTERS + CONFIG
 
     def __init__(
         self,
@@ -268,7 +303,9 @@ class ConstSpacePolicy:
         self.t += steps
 
     def state_words(self) -> int:
-        return len(self.REGISTERS)
+        """Registers counted from the object; a register holding a container
+        raises ``TypeError``."""
+        return _state_words(self, scalars_only=True)
 
 
 class DoublingPolicy:
@@ -280,9 +317,11 @@ class DoublingPolicy:
 
     INITIAL_HORIZON = 10
     # Registers on top of the inner policy's; n_arms, schedule and the inner
-    # policy itself are configuration and delegated state.
+    # policy itself are configuration and delegated state, which counts its
+    # own words.
     REGISTERS = ("level", "level_horizon", "t_total")
-    __slots__ = REGISTERS + ("n_arms", "schedule", "inner")
+    CONFIG = ("n_arms", "schedule", "inner")
+    __slots__ = REGISTERS + CONFIG
 
     def __init__(self, n_arms: int, schedule: Schedule = GEOMETRIC):
         if n_arms < 1:
@@ -328,7 +367,7 @@ class DoublingPolicy:
             self._next_level()
 
     def state_words(self) -> int:
-        return self.inner.state_words() + len(self.REGISTERS)
+        return self.inner.state_words() + _state_words(self, scalars_only=True)
 
 
 class Ucb1Policy:
@@ -336,12 +375,27 @@ class Ucb1Policy:
 
     Pulls every arm once first; afterwards plays the argmax index with
     ties going to the lowest arm id. ``observe`` updates the pulled arm's
-    entries and computes the next arm once, in an O(K) loop of Python
-    floats; ``select_arm`` reads it. Keeps 2K + 2 words of state: the two
-    tables, ``t`` and the stored next arm.
+    entries and computes the next arm, which ``select_arm`` reads; it
+    returns ARM_DONE when the next arm differs from the one just pulled and
+    CONTINUE when it is the same, so a caller may select once per run of
+    pulls of one arm.
+
+    The next arm comes from an O(K) loop of Python floats, which also stores
+    ``bound``, the largest index of the other arms evaluated at
+    ``until = t + WINDOW``. Until then only the chosen arm is pulled, and an
+    arm that is not pulled keeps its count and mean, so its index can only
+    grow with t: ``log`` of two distinct integers differs by far more than
+    one ulp, and ``*``, ``/``, ``sqrt`` and ``+`` round monotonically. While
+    ``t <= until``, a pulled arm whose own index is strictly above ``bound``
+    is therefore still the unique argmax, and the loop is skipped; the
+    strict compare keeps the lowest-id tie-break. Keeps 2K + 4 words of
+    state: the two tables, ``t``, the stored next arm, ``bound`` and
+    ``until``.
     """
 
-    __slots__ = ("n_arms", "counts", "means", "t", "arm")
+    WINDOW = 64  # steps a bound is valid for; any value >= 1 gives the same arms
+    CONFIG = ("n_arms",)
+    __slots__ = CONFIG + ("counts", "means", "t", "arm", "bound", "until")
 
     def __init__(self, n_arms: int):
         if n_arms < 1:
@@ -351,6 +405,8 @@ class Ucb1Policy:
         self.means = [0.0] * n_arms
         self.t = 0
         self.arm = 0
+        self.bound = 0.0
+        self.until = 0  # no bound before the first full pass
 
     def select_arm(self) -> int:
         """Pure read of the arm the last ``observe`` chose."""
@@ -362,23 +418,33 @@ class Ucb1Policy:
         counts, means, arm = self.counts, self.means, self.arm
         n = counts[arm] + 1
         counts[arm] = n
-        means[arm] = (means[arm] * (n - 1) + reward) / n
-        self.t += 1
-        t = self.t
+        mean = (means[arm] * (n - 1) + reward) / n
+        means[arm] = mean
+        self.t = t = self.t + 1
         if t < self.n_arms:
             self.arm = t
+            return ARM_DONE
+        c = 2.0 * log(t)
+        if t <= self.until and mean + sqrt(c / n) > self.bound:
             return CONTINUE
-        c = 2.0 * math.log(t)
         best, top = 0, means[0] + sqrt(c / counts[0])
         for i in range(1, self.n_arms):
             index = means[i] + sqrt(c / counts[i])
             if index > top:  # strict: ties keep the lowest arm id
                 best, top = i, index
-        self.arm = best
-        return CONTINUE
+        until = t + self.WINDOW
+        c = 2.0 * log(until)
+        bound = -math.inf
+        for i in range(self.n_arms):
+            if i != best:
+                index = means[i] + sqrt(c / counts[i])
+                if index > bound:
+                    bound = index
+        self.arm, self.bound, self.until = best, bound, until
+        return CONTINUE if best == arm else ARM_DONE
 
     def state_words(self) -> int:
-        return 2 * self.n_arms + 2
+        return _state_words(self)
 
 
 def make_policy(config: PolicyConfig, n_arms: int, horizon: int):

@@ -67,13 +67,14 @@ def run_episode(
 
     A level is stepped in arm segments. Each segment selects an arm once,
     then draws and observes it until ``observe`` reports a transition or
-    the level stops; the constant-space policy keeps its arm until then. A
-    UCB1 segment is a single pull. The pseudo-regret, the checkpoints and
-    the clean-event running mean advance per pull, with the arm's gap, true
-    mean, round pulls and mean held in locals; pull tallies and the action
-    log are settled once per segment. A round scans each arm once, in index
-    order, so its segments' pulls are its record's per-arm tallies, and
-    ``r_max_observed`` is the largest ``r - 1`` over the records.
+    the level stops; every policy keeps its arm until then (UCB1 reports
+    ARM_DONE when its next arm differs). The pseudo-regret, the checkpoints
+    and the clean-event running mean advance per pull, with the arm's gap,
+    true mean, round pulls and mean held in locals; pull tallies and the
+    action log are settled once per segment. A round scans each arm once,
+    in index order, so its segments' pulls are its record's per-arm
+    tallies, and ``r_max_observed`` is the largest ``r - 1`` over the
+    records.
     ``action_log`` keeps the arm of every step. UCB1 has no rounds, so its
     trace reports the clean event and ``r_max_observed`` as None.
     """
@@ -129,9 +130,7 @@ def run_episode(
                     m = (m * (n - 1) + reward) / n
                     if clean and abs(m - mu) > sqrt(log_inv_delta / (2.0 * n)):
                         clean = False
-                    if report is not CONTINUE or t == stop:
-                        break
-                else:  # a UCB1 segment is one pull
+                if report is not CONTINUE or t == stop:
                     break
 
             pull_counts[arm] += t - start

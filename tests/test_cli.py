@@ -97,6 +97,22 @@ def test_run_writes_json_for_delta_beside_other_policies(tmp_path):
     assert [p.delta_override for p in saved.policies] == [0.01, None]
 
 
+@pytest.mark.parametrize("names", ["doubling", "ucb1", "doubling, ucb1"])
+def test_config_rejects_delta_without_constspace_policy(tmp_path, capsys, names):
+    config = tmp_path / "delta.ini"
+    config.write_text(
+        f"[policy]\nnames = {names}\ndelta = 0.01\n"
+        "[instance]\nname = custom\nmeans = 0.9, 0.6\n"
+        "[grid]\nT = 300\nseeds = 1\n"
+    )
+    assert cli.main(["verify", "--config", str(config)]) == 2
+    assert "policy.delta: applies to constspace policies only" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert "policy.delta: applies to constspace policies only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("delta", ["2", "0", "1", "nan", "-0.5"])
 def test_config_rejects_delta_outside_unit_interval(tmp_path, capsys, delta):
     config = tmp_path / "delta.ini"

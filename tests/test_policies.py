@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from constbandit import (
@@ -232,10 +232,21 @@ def test_undeclared_attribute_is_rejected():
     assert wrapper.state_words() - wrapper.inner.state_words() == len(own) == 3
 
 
+def test_register_holding_a_container_fails_the_count():
+    policy = ConstSpacePolicy(4, 100)
+    policy.best = [0, 1, 2, 3]
+    with pytest.raises(TypeError, match="best"):
+        policy.state_words()
+    wrapper = DoublingPolicy(4)
+    wrapper.level = (0, 1)
+    with pytest.raises(TypeError, match="level"):
+        wrapper.state_words()
+
+
 def test_ucb1_state_words_grow_linearly():
-    # both tables, t and the stored next arm
-    assert Ucb1Policy(100).state_words() == 202
-    assert Ucb1Policy(2).state_words() == 6
+    # both tables, t, the stored next arm, bound and until
+    assert Ucb1Policy(100).state_words() == 204
+    assert Ucb1Policy(2).state_words() == 8
     assert DoublingPolicy(7).state_words() == ConstSpacePolicy(7, 100).state_words() + 3
     assert DoublingPolicy(7).state_words() == 23
 
@@ -295,20 +306,29 @@ class NumpyUcb1:
 
 
 _REWARD_SEQUENCES = st.one_of(
-    st.lists(st.floats(0.0, 1.0), max_size=300),
-    st.lists(st.sampled_from((0.0, 1.0)), max_size=300),
+    st.lists(st.floats(0.0, 1.0), max_size=600),
+    st.lists(st.sampled_from((0.0, 1.0)), max_size=600),
     # all equal: every full sweep ends in an exact tie
-    st.tuples(st.floats(0.0, 1.0), st.integers(0, 300)).map(lambda p: [p[0]] * p[1]),
+    st.tuples(st.floats(0.0, 1.0), st.integers(0, 600)).map(lambda p: [p[0]] * p[1]),
 )
 
 
-@given(n_arms=st.integers(1, 20), rewards=_REWARD_SEQUENCES)
-def test_ucb1_matches_numpy_index(n_arms, rewards):
-    policy, reference = Ucb1Policy(n_arms), NumpyUcb1(n_arms)
-    for reward in rewards:
-        assert policy.select_arm() == reference.select_arm()
-        policy.observe(reward)
-        reference.observe(reward)
+@given(window=st.sampled_from((1, 2, 7, 64)), n_arms=st.integers(1, 20), rewards=_REWARD_SEQUENCES)
+@example(window=1, n_arms=2, rewards=[0.5] * 8)
+def test_ucb1_matches_numpy_index(window, n_arms, rewards):
+    # Sequences of up to 600 pulls pass several windows of each size, so
+    # the skip runs on stale bounds as well as fresh ones. In the example,
+    # at t = 4 = until the pulled arm 1's index equals arm 0's bound exactly,
+    # and only the strict compare hands the tie to arm 0.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Ucb1Policy, "WINDOW", window)
+        policy, reference = Ucb1Policy(n_arms), NumpyUcb1(n_arms)
+        for reward in rewards:
+            arm = reference.select_arm()
+            assert policy.select_arm() == arm
+            report = policy.observe(reward)
+            reference.observe(reward)
+            assert report == (CONTINUE if reference.select_arm() == arm else ARM_DONE)
     assert policy.select_arm() == reference.select_arm()
     assert policy.t == reference.t
     assert policy.counts == reference.counts.tolist()

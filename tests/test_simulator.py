@@ -288,9 +288,11 @@ _RANDOM_CONFIGS = st.one_of(
     st.builds(
         PolicyConfig, st.just("doubling"), st.sampled_from([GEOMETRIC, polylog(0.5), ADAPTIVE_RATIO])
     ),
+    st.just(PolicyConfig("ucb1")),
 )
-# Random horizons end mid-arm or mid-round; the listed ones end on a doubling
-# level boundary (10, 110, 10110) or one pull either side of it.
+# Random horizons end mid-arm, mid-round or mid-way through a UCB1 run of
+# pulls of one arm; the listed ones end on a doubling level boundary (10,
+# 110, 10110) or one pull either side of it.
 _RANDOM_HORIZONS = st.one_of(
     st.integers(1, 6000), st.sampled_from([9, 10, 11, 109, 110, 111, 10109, 10110, 10111])
 )
