@@ -107,6 +107,34 @@ def parse_policy_spec(text: str) -> PolicyConfig:
         raise ConfigError(f"policy.names: {exc}") from exc
 
 
+def parse_policy_list(text: str) -> list[PolicyConfig]:
+    """Parse a comma list of policy specs; an empty list is a config error."""
+    policies = [parse_policy_spec(p) for p in text.split(",") if p.strip()]
+    if not policies:
+        raise ConfigError("policy.names: at least one policy is required")
+    return policies
+
+
+def _with_delta(policies: list[PolicyConfig], delta: float | None) -> list[PolicyConfig]:
+    """The policies with ``delta`` given to each constspace one, which at
+    least one must be; a None delta leaves them as they are."""
+    if delta is None:
+        return policies
+    if not any(p.name == "constspace" for p in policies):
+        raise ConfigError("policy.delta: applies to constspace policies only, and none is named")
+    return [PolicyConfig(p.name, p.schedule, delta if p.name == "constspace" else None) for p in policies]
+
+
+def _shared_delta(policies: list[PolicyConfig]) -> float | None:
+    """The delta ``_with_delta`` gave the constspace policies, or None."""
+    deltas = {p.delta_override for p in policies if p.name == "constspace"}
+    if not deltas - {None}:
+        return None
+    if len(deltas) != 1:
+        raise ConfigError("policy.delta: per-policy overrides cannot be serialized")
+    return deltas.pop()
+
+
 def policy_spec_string(cfg: PolicyConfig) -> str:
     if cfg.name == "ucb1":
         return "ucb1"
@@ -183,12 +211,9 @@ def _ini_parser() -> configparser.ConfigParser:
 def config_to_ini(cfg: ExperimentConfig) -> str:
     parser = _ini_parser()
     parser["policy"] = {"names": ", ".join(policy_spec_string(p) for p in cfg.policies)}
-    # config_from_ini gives the delta to the constspace policies only
-    deltas = {p.delta_override for p in cfg.policies if p.name == "constspace"}
-    if deltas - {None}:
-        if len(deltas) != 1:
-            raise ConfigError("policy.delta: per-policy overrides cannot be serialized")
-        parser["policy"]["delta"] = repr(deltas.pop())
+    delta = _shared_delta(cfg.policies)
+    if delta is not None:
+        parser["policy"]["delta"] = repr(delta)
     inst = {"name": cfg.instance_name}
     for key, value in cfg.instance_params.items():
         if key == "means":
@@ -217,7 +242,7 @@ def config_from_ini(text: str, output: bool = True) -> ExperimentConfig:
     cfg = default_config()
     if parser.has_section("policy"):
         names = parser.get("policy", "names", fallback="constspace")
-        cfg.policies = [parse_policy_spec(p) for p in names.split(",") if p.strip()]
+        cfg.policies = parse_policy_list(names)
         if parser.has_option("policy", "delta"):
             try:
                 delta = float(parser.get("policy", "delta"))
@@ -225,12 +250,7 @@ def config_from_ini(text: str, output: bool = True) -> ExperimentConfig:
                 raise ConfigError(f"policy.delta: {exc}") from exc
             if not 0.0 < delta < 1.0:
                 raise ConfigError("policy.delta: must lie in (0, 1)")
-            if not any(p.name == "constspace" for p in cfg.policies):
-                raise ConfigError("policy.delta: applies to constspace policies only, and none is named")
-            cfg.policies = [
-                PolicyConfig(p.name, p.schedule, delta if p.name == "constspace" else None)
-                for p in cfg.policies
-            ]
+            cfg.policies = _with_delta(cfg.policies, delta)
         for key in parser["policy"]:
             if key not in ("names", "delta"):
                 raise ConfigError(f"policy.{key}: unknown key")
@@ -342,8 +362,8 @@ def resolve_config(args) -> ExperimentConfig:
     else:
         cfg = default_config()
 
-    if getattr(args, "policy", None):
-        cfg.policies = [parse_policy_spec(p) for p in args.policy.split(",") if p.strip()]
+    if getattr(args, "policy", None) is not None:  # keeps a config file's [policy] delta
+        cfg.policies = _with_delta(parse_policy_list(args.policy), _shared_delta(cfg.policies))
     if getattr(args, "instance", None):
         cfg.instance_name, cfg.instance_params = parse_instance_spec(args.instance)
     if getattr(args, "T", None):
@@ -564,7 +584,7 @@ def cmd_memaudit(args) -> int:
         raise ConfigError(f"--K: {exc}") from exc
     if not grid or min(grid) < 2:
         raise ConfigError("--K: grid must be non-empty, with every K >= 2")
-    policies = [parse_policy_spec(p) for p in args.policies.split(",") if p.strip()]
+    policies = parse_policy_list(args.policies)
     rows = simulator.memory_audit(policies, grid)
     print(f"{'policy':<12} {'schedule':<14} {'K':>8} {'reset':>7} {'peak':>7}")
     for row in rows:

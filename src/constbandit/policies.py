@@ -138,6 +138,10 @@ class ConstSpacePolicy:
     arm until ``observe`` reports a transition (anything but CONTINUE), so a
     caller may select once per arm scan and feed that arm's rewards until
     the report changes.
+
+    After every explore ``observe``, ``mean_cur`` is the arm's mean over the
+    round so far, also on a pull that ends the arm or round. It needs no
+    reset between arms: an arm's first pull computes exactly ``reward``.
     """
 
     # Mutable scalar registers retained between steps. Configuration
@@ -260,7 +264,6 @@ class ConstSpacePolicy:
             return self._finish_round()
         self.scan_arm = arm + 1
         self.n = 0
-        self.mean_cur = 0.0
         return RULED_OUT if ruled_out else ARM_DONE
 
     def _finish_round(self):
@@ -285,7 +288,6 @@ class ConstSpacePolicy:
         self.r += 1
         self.scan_arm = 0
         self.n = 0
-        self.mean_cur = 0.0
         self.best = None
         self.mean_best = 0.0
         self.second = None
@@ -380,17 +382,18 @@ class Ucb1Policy:
     CONTINUE when it is the same, so a caller may select once per run of
     pulls of one arm.
 
-    The next arm comes from an O(K) loop of Python floats, which also stores
-    ``bound``, the largest index of the other arms evaluated at
-    ``until = t + WINDOW``. Until then only the chosen arm is pulled, and an
-    arm that is not pulled keeps its count and mean, so its index can only
-    grow with t: ``log`` of two distinct integers differs by far more than
-    one ulp, and ``*``, ``/``, ``sqrt`` and ``+`` round monotonically. While
-    ``t <= until``, a pulled arm whose own index is strictly above ``bound``
-    is therefore still the unique argmax, and the loop is skipped; the
-    strict compare keeps the lowest-id tie-break. Keeps 2K + 4 words of
-    state: the two tables, ``t``, the stored next arm, ``bound`` and
-    ``until``.
+    The next arm comes from one O(K) loop of Python floats. It evaluates
+    each index at ``t`` and at ``until = t + WINDOW``, and tracks the argmax
+    at ``t`` together with ``bound``, the largest ``until``-index of the
+    other arms (a displaced leader enters ``bound``). Until ``until`` only
+    the chosen arm is pulled, and an arm that is not pulled keeps its count
+    and mean, so its index can only grow with t: ``log`` of two distinct
+    integers differs by far more than one ulp, and ``*``, ``/``, ``sqrt``
+    and ``+`` round monotonically. While ``t <= until``, a pulled arm whose
+    own index is strictly above ``bound`` is therefore still the unique
+    argmax, and the loop is skipped; the strict compare keeps the lowest-id
+    tie-break. Keeps 2K + 4 words of state: the two tables, ``t``, the
+    stored next arm, ``bound`` and ``until``.
     """
 
     WINDOW = 64  # steps a bound is valid for; any value >= 1 gives the same arms
@@ -427,19 +430,16 @@ class Ucb1Policy:
         c = 2.0 * log(t)
         if t <= self.until and mean + sqrt(c / n) > self.bound:
             return CONTINUE
-        best, top = 0, means[0] + sqrt(c / counts[0])
-        for i in range(1, self.n_arms):
-            index = means[i] + sqrt(c / counts[i])
-            if index > top:  # strict: ties keep the lowest arm id
-                best, top = i, index
         until = t + self.WINDOW
-        c = 2.0 * log(until)
-        bound = -math.inf
+        c_until = 2.0 * log(until)
+        best, top, best_later, bound = 0, -math.inf, -math.inf, -math.inf
         for i in range(self.n_arms):
-            if i != best:
-                index = means[i] + sqrt(c / counts[i])
-                if index > bound:
-                    bound = index
+            mean_i, n_i = means[i], counts[i]
+            index, later = mean_i + sqrt(c / n_i), mean_i + sqrt(c_until / n_i)
+            if index > top:  # strict: ties keep the lowest arm id
+                best, top, best_later, later = i, index, later, best_later
+            if later > bound:  # after a lead change, ``later`` is the displaced leader's
+                bound = later
         self.arm, self.bound, self.until = best, bound, until
         return CONTINUE if best == arm else ARM_DONE
 

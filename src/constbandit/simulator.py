@@ -1,10 +1,10 @@
 """Episode runner, pseudo-regret ledger, guarantee checks and memory audit.
 
 The harness, unlike the policies it drives, is allowed O(K) memory: it
-keeps per-arm pull tallies, recomputes each round's running means from the
-observed rewards, and compares them against the true means (which it
-knows) to flag the clean event: every recorded round estimate staying
-within its Hoeffding radius of the truth. The conditional guarantees of
+keeps per-arm pull tallies and the round records. It flags the clean event
+(every running mean of a round's scan staying within its Hoeffding radius
+of the arm's true mean, which the harness knows) by reading the policy's
+own running mean after each explore pull. The conditional guarantees of
 the round-based policy are checked only on clean episodes.
 """
 
@@ -68,13 +68,15 @@ def run_episode(
     A level is stepped in arm segments. Each segment selects an arm once,
     then draws and observes it until ``observe`` reports a transition or
     the level stops; every policy keeps its arm until then (UCB1 reports
-    ARM_DONE when its next arm differs). The pseudo-regret, the checkpoints
-    and the clean-event running mean advance per pull, with the arm's gap,
-    true mean, round pulls and mean held in locals; pull tallies and the
-    action log are settled once per segment. A round scans each arm once,
-    in index order, so its segments' pulls are its record's per-arm
-    tallies, and ``r_max_observed`` is the largest ``r - 1`` over the
-    records.
+    ARM_DONE when its next arm differs). The pseudo-regret and the
+    checkpoints advance per pull; pull tallies and the action log are
+    settled once per segment. A round scans each arm once, in index order,
+    so a segment is exactly the arm's pulls in the round: its length is the
+    record's per-arm tally, and ``r_max_observed`` is the largest ``r - 1``
+    over the records. The clean check reads the policy's ``mean_cur`` after
+    each explore pull, with the segment's length so far as the pull count;
+    that is exactly the arm's running mean in the round (see
+    ``ConstSpacePolicy``). An unclean episode checks no further pulls.
     ``action_log`` keeps the arm of every step. UCB1 has no rounds, so its
     trace reports the clean event and ``r_max_observed`` as None.
     """
@@ -94,7 +96,7 @@ def run_episode(
     level_log: list[tuple[int, int, int]] | None = [] if doubling else None
 
     pull_counts = [0] * n_arms
-    clean = True
+    clean = round_based  # UCB1 has no clean event, so it never checks one
 
     # Regret checkpoints at t = 1, 2, 4, ... and at the horizon.
     trajectory: list[tuple[int, float]] = []
@@ -114,22 +116,17 @@ def run_episode(
         select_arm, observe = current.select_arm, current.observe
         while t < stop:
             arm = select_arm()
-            gap, start = gaps[arm], t
-            if round_based:  # an arm is scanned once per round: its tally starts at 0
-                mu, n, m = true_means[arm], 0, 0.0
+            gap, mu, start = gaps[arm], true_means[arm], t
             while True:
-                reward = draw(arm)
-                report = observe(reward)
+                report = observe(draw(arm))
                 t += 1
                 cum_gap += gap
                 if t == next_cp:
                     trajectory.append((t, cum_gap))
                     next_cp = min(2 * t, horizon)
-                if round_based:  # a round-based level that is still stepping explores
-                    n += 1
-                    m = (m * (n - 1) + reward) / n
-                    if clean and abs(m - mu) > sqrt(log_inv_delta / (2.0 * n)):
-                        clean = False
+                # a stepping round-based level explores; t - start is the arm's round tally
+                if clean and abs(current.mean_cur - mu) > sqrt(log_inv_delta / (2.0 * (t - start))):
+                    clean = False
                 if report is not CONTINUE or t == stop:
                     break
 
@@ -137,7 +134,7 @@ def run_episode(
             if actions is not None:
                 actions.extend([arm] * (t - start))
             if round_based:
-                scanned.append(n)
+                scanned.append(t - start)
                 if type(report) is RoundRecord:
                     round_records.append(replace(report, level=level, pulls=tuple(scanned)))
                     scanned = []

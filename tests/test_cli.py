@@ -113,6 +113,58 @@ def test_config_rejects_delta_without_constspace_policy(tmp_path, capsys, names)
     assert not out.exists()
 
 
+_DELTA_CONFIG = (
+    "[policy]\nnames = constspace\ndelta = 0.01\n"
+    "[instance]\nname = custom\nmeans = 0.9, 0.6\n"
+    "[grid]\nT = 300\nseeds = 1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "flag,expected",
+    [("constspace", [0.01]), ("constspace-polylog(0.5), ucb1", [0.01, None]), ("doubling, constspace", [None, 0.01])],
+)
+def test_policy_flag_keeps_config_delta(tmp_path, flag, expected):
+    config = tmp_path / "delta.ini"
+    config.write_text(_DELTA_CONFIG)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--policy", flag, "--out", str(out)]) == 0
+    saved = cli.config_from_ini(json.loads((out / "results.json").read_text())["config"])
+    assert [p.delta_override for p in saved.policies] == expected
+    assert [cli.policy_spec_string(p) for p in saved.policies] == [
+        cli.policy_spec_string(cli.parse_policy_spec(name)) for name in flag.split(",")
+    ]
+
+
+@pytest.mark.parametrize("flag", ["ucb1", "doubling", "doubling,ucb1"])
+def test_policy_flag_without_constspace_rejects_config_delta(tmp_path, capsys, flag):
+    config = tmp_path / "delta.ini"
+    config.write_text(_DELTA_CONFIG)
+    assert cli.main(["verify", "--config", str(config), "--policy", flag]) == 2
+    assert "policy.delta: applies to constspace policies only" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--policy", flag, "--out", str(out)]) == 2
+    assert "policy.delta: applies to constspace policies only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("flag", ["", " , "])
+def test_empty_policy_flag_exits_2(tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    extra = ["--out", str(out)] if command == "run" else []
+    assert cli.main([command, "--policy", flag, "--T", "100", "--seeds", "1", *extra]) == 2
+    assert "policy.names: at least one policy is required" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_memaudit_rejects_empty_policy_list(tmp_path, capsys):
+    assert cli.main(["memaudit", "--policies", "", "--K", "2", "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert "policy.names: at least one policy is required" in captured.err
+    assert captured.out == "" and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("delta", ["2", "0", "1", "nan", "-0.5"])
 def test_config_rejects_delta_outside_unit_interval(tmp_path, capsys, delta):
     config = tmp_path / "delta.ini"

@@ -385,19 +385,30 @@ def test_doubling_levels_cover_horizon():
 def step_checking_segments(policy, reward_at, steps):
     """Step a known-horizon policy for up to ``steps`` pulls, asserting the
     scan contract the episode loop relies on: while exploring with
-    ``t < horizon``, ``select_arm()`` keeps its arm after every CONTINUE.
-    Returns the pulls stepped and the transition reports; a committed tail
-    is skipped in bulk."""
+    ``t < horizon``, ``select_arm()`` keeps its arm after every CONTINUE,
+    and after every explore pull, a transition too, ``mean_cur`` equals the
+    pulled arm's running mean in the round, kept here by its own recurrence
+    (so an arm's first pull leaves exactly its reward there). Returns the
+    pulls stepped and the transition reports; a committed tail is skipped
+    in bulk."""
     pulls, transitions = 0, []
+    n, mean = 0, 0.0  # the scanned arm's pulls and running mean in the round
     while pulls < steps and policy.exploring:
         arm = policy.select_arm()
-        report = policy.observe(reward_at(arm, pulls))
+        reward = reward_at(arm, pulls)
+        report = policy.observe(reward)
         pulls += 1
+        n += 1
+        mean = (mean * (n - 1) + reward) / n
+        assert policy.mean_cur == mean, (pulls, report)
+        if n == 1:
+            assert policy.mean_cur == reward
         if report is CONTINUE:
             if policy.t < policy.horizon:
                 assert policy.exploring and policy.select_arm() == arm
         else:
             transitions.append(report)
+            n, mean = 0, 0.0
     if pulls < steps and not policy.exploring:
         policy.advance_exploitation(min(steps - pulls, policy.horizon - policy.t))
     return pulls, transitions
@@ -455,6 +466,7 @@ def test_segment_contract_sees_rule_outs_and_commits():
         policy, _reward_at([0.9, 0.1, 0.5, 0.2], [0.1, -0.1]), 3000
     )
     assert RULED_OUT in transitions and ARM_DONE in transitions
+    assert any(type(rep) is RoundRecord and rep.event == ROUND_DONE for rep in transitions)
     assert transitions[-1].event == COMMITTED and pulls < 3000
 
 

@@ -238,6 +238,29 @@ def assert_matches_step_driven(cfg, inst, horizon, seed):
     return trace
 
 
+@pytest.mark.parametrize("last,clean", [(1.0, False), (0.5, True)])
+def test_clean_check_covers_the_pull_that_ends_an_arm(monkeypatch, last, clean):
+    # Two arms of mean 0.5 with delta 0.5: round 1 gives each arm a budget
+    # of 6, and T = 12 ends the episode with that round. Arm 0's running
+    # mean is 0.76 after five pulls, inside the radius sqrt(ln 2 / 10) =
+    # 0.263. A sixth reward of 1.0 moves it to 0.8, outside sqrt(ln 2 / 12)
+    # = 0.240, so the only breach falls on the pull that reports ARM_DONE;
+    # a sixth 0.5 gives 0.717 and keeps the episode clean.
+    script = (0.76,) * 5 + (last,)
+
+    def scripted_draw(self, arm):
+        drawn = vars(self).setdefault("scripted_draws", [0, 0])
+        drawn[arm] += 1
+        return script[drawn[0] - 1] if arm == 0 else 0.5
+
+    monkeypatch.setattr(RewardStream, "draw", scripted_draw)
+    cfg = PolicyConfig("constspace", delta_override=0.5)
+    trace = assert_matches_step_driven(cfg, make_custom([0.5, 0.5], kind="point"), 12, 0)
+    assert trace.clean_event is clean
+    (record,) = trace.round_log
+    assert record.budget == 6 and record.pulls == (6, 6)
+
+
 # Means 0.9, 0.72, 0.3, 0.2, 0.1 (best arm moved for the point masses): the
 # top two separate in round 3, three of five arms fall in round 2 so the
 # adaptive step differs from halving, and a doubling run at T = 20000
