@@ -200,6 +200,16 @@ def build_instance(cfg: ExperimentConfig) -> envs.BanditInstance:
         raise ConfigError(f"instance: {exc}") from exc
 
 
+def check_policies(cfg: ExperimentConfig, instance: envs.BanditInstance) -> None:
+    """Build each (policy, horizon) once, so that a delta or horizon a policy
+    cannot use is a config error, not a failed cell."""
+    for policy, horizon in product(cfg.policies, cfg.horizons):
+        try:
+            simulator.make_policy(policy, instance.n_arms, horizon)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"policy {policy_spec_string(policy)} at T={horizon}: {exc}") from exc
+
+
 # -- INI config files ---------------------------------------------------------
 
 def _ini_parser() -> configparser.ConfigParser:
@@ -473,6 +483,7 @@ def print_report_table(reports, out=None) -> None:
 def cmd_run(args) -> int:
     cfg = resolve_config(args)
     instance = build_instance(cfg)
+    check_policies(cfg, instance)
     reports = simulator.run_suite(
         cfg.policies, [instance], cfg.horizons, cfg.n_seeds, cfg.base_seed, jobs=cfg.jobs
     )
@@ -532,6 +543,7 @@ def cmd_verify(args) -> int:
     instance = build_instance(cfg)
     if instance.delta_min is None:
         raise ConfigError("instance: all gaps zero; guarantees are undefined")
+    check_policies(cfg, instance)
     tallies = {name: [0, 0] for name in simulator.CHECK_NAMES}  # pass, fail
     clean_runs = 0
     episodes = 0

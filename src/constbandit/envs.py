@@ -143,12 +143,14 @@ class RewardStream:
         return state
 
     def draw(self, arm: int) -> float:
-        state = self._buffers.get(arm)
-        if state is not None:
+        try:
+            state = self._buffers[arm]
             i = state[2]
             if i < _CHUNK:
                 state[2] = i + 1
                 return state[1][i]
+        except KeyError:  # not drawn or skipped yet, a point arm, or a bad arm
+            pass
         return self._draw_refilled(arm)
 
     def _draw_refilled(self, arm: int) -> float:

@@ -7,16 +7,16 @@ machine-word registers retained between steps.
 
 The round-based constant-space policy scans arms one at a time at a target
 half-width ``g``, keeping only the best and second-best round means plus
-the previous round's reference. Its register count is a fixed constant
-regardless of the number of arms, and ``__slots__`` holds it to that: an
-attribute outside the declared registers and configuration cannot be set.
-``state_words()`` counts the set slots of the object itself, and a
-constant-space register holding a container fails the count. A finished
-round is reported as a ``RoundRecord``; the harness adds the per-arm pull
-tallies that the policy does not keep. The UCB1 baseline keeps per-arm
-tables and exists to exhibit the Theta(K) contrast in the memory audit;
-``observe`` also computes its next arm, so its ``select_arm`` is a read
-like the others'.
+the rule-out reference the previous round left. Its register count is a
+fixed constant regardless of the number of arms, and ``__slots__`` holds it
+to that: an attribute outside the declared registers and configuration
+cannot be set. ``state_words()`` counts the set slots of the object
+itself, and a constant-space register holding a container fails the
+count. A finished round is reported as a ``RoundRecord``; the harness adds
+the per-arm pull tallies that the policy does not keep. The UCB1 baseline
+keeps per-arm tables and exists to exhibit the Theta(K) contrast in the
+memory audit; ``observe`` also computes its next arm, so its
+``select_arm`` is a read like the others'.
 """
 
 from __future__ import annotations
@@ -52,7 +52,10 @@ def default_delta(horizon: int) -> float:
     """
     if horizon < 2:
         return 0.125
-    return 1.0 / float(horizon) ** 3
+    try:
+        return 1.0 / float(horizon) ** 3
+    except OverflowError:
+        raise OverflowError("horizon too large: T^3 overflows a float") from None
 
 
 @dataclass(frozen=True)
@@ -125,10 +128,10 @@ class ConstSpacePolicy:
     Each round scans every arm in index order, pulling it up to ``budget``
     times; an arm whose upper confidence value drops below the previous
     round's best-arm reference (mean minus half the previous half-width) is
-    abandoned early. Early abandonment is disabled in round 1, where no
-    reference exists yet and every arm receives its full budget. At the end
-    of a round the policy commits if the best and second-best round means
-    are separated by more than ``g`` (or the horizon ran out), otherwise it
+    abandoned early. Round 1 has no previous round, so its reference is
+    ``-inf`` and every arm receives its full budget. At the end of a round
+    the policy commits if the best and second-best round means are
+    separated by more than ``g`` (or the horizon ran out), otherwise it
     shrinks ``g`` per its schedule and rescans.
 
     With a single arm there is nothing to compare; the policy commits to
@@ -140,8 +143,14 @@ class ConstSpacePolicy:
     the report changes.
 
     After every explore ``observe``, ``mean_cur`` is the arm's mean over the
-    round so far, also on a pull that ends the arm or round. It needs no
-    reset between arms: an arm's first pull computes exactly ``reward``.
+    round so far and ``radius`` its Hoeffding radius
+    ``sqrt(ln(1/delta) / 2n)``, with ``n`` the arm's pulls in the round,
+    also on a pull that ends the arm or round (in round 1 too). Neither
+    needs a reset between arms: an arm's first pull computes exactly
+    ``reward`` and the radius of one pull. ``reference`` is ``-inf`` in
+    round 1, and a round that closes without committing sets it to its
+    ``mean_best - g / 2``; an arm is ruled out once
+    ``mean_cur + radius < reference``.
     """
 
     # Mutable scalar registers retained between steps. Configuration
@@ -160,8 +169,8 @@ class ConstSpacePolicy:
         "mean_best",
         "second",
         "mean_second",
-        "prev_best",
-        "prev_mean",
+        "radius",
+        "reference",
         "t",
         "horizon",
         "delta",
@@ -192,7 +201,7 @@ class ConstSpacePolicy:
         self.t = 0
         self.r = 1
         self.g = 0.5
-        self.g_prev = 0.5  # placeholder; never consulted while r == 1
+        self.g_prev = 0.5  # placeholder; round 1 has no previous half-width
         self.budget = round_budget(self.g, self.delta)
         self.scan_arm = 0
         self.n = 0
@@ -201,8 +210,8 @@ class ConstSpacePolicy:
         self.mean_best = 0.0
         self.second: int | None = None
         self.mean_second = 0.0
-        self.prev_best: int | None = None
-        self.prev_mean = 0.0
+        self.radius = math.inf  # no pull yet
+        self.reference = -math.inf  # no previous round to rule out against
         self.survivors = 0
         self.separated = False
         self.phase = EXPLORE
@@ -243,10 +252,9 @@ class ConstSpacePolicy:
         self.n = n
         mean = (self.mean_cur * n_old + reward) / n
         self.mean_cur = mean
-        if self.r > 1:
-            radius = sqrt(self.log_inv_delta / (2.0 * n))
-            if mean + radius < self.prev_mean - self.g_prev / 2.0:
-                return self._finish_arm(True)
+        self.radius = radius = sqrt(self.log_inv_delta / (2.0 * n))
+        if mean + radius < self.reference:
+            return self._finish_arm(True)
         if n < self.budget:
             return CONTINUE
         return self._finish_arm(False)
@@ -277,8 +285,7 @@ class ConstSpacePolicy:
             self.phase = EXPLOIT
             self.separated = separated
             return record
-        self.prev_best = self.best
-        self.prev_mean = self.mean_best
+        self.reference = self.mean_best - self.g / 2.0
         fraction = None
         if self.schedule.kind == "adaptive":
             fraction = max(self.survivors, 1) / self.n_arms

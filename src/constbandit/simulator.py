@@ -4,8 +4,8 @@ The harness, unlike the policies it drives, is allowed O(K) memory: it
 keeps per-arm pull tallies and the round records. It flags the clean event
 (every running mean of a round's scan staying within its Hoeffding radius
 of the arm's true mean, which the harness knows) by reading the policy's
-own running mean after each explore pull. The conditional guarantees of
-the round-based policy are checked only on clean episodes.
+own running mean and radius after each explore pull. The conditional
+guarantees of the round-based policy are checked only on clean episodes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import product
-from math import sqrt
 from statistics import fmean, stdev
 
 from .bounds import regret_bound, rmax_bound
@@ -68,16 +67,18 @@ def run_episode(
     A level is stepped in arm segments. Each segment selects an arm once,
     then draws and observes it until ``observe`` reports a transition or
     the level stops; every policy keeps its arm until then (UCB1 reports
-    ARM_DONE when its next arm differs). The pseudo-regret and the
-    checkpoints advance per pull; pull tallies and the action log are
-    settled once per segment. A round scans each arm once, in index order,
-    so a segment is exactly the arm's pulls in the round: its length is the
-    record's per-arm tally, and ``r_max_observed`` is the largest ``r - 1``
-    over the records. The clean check reads the policy's ``mean_cur`` after
-    each explore pull, with the segment's length so far as the pull count;
-    that is exactly the arm's running mean in the round (see
-    ``ConstSpacePolicy``). An unclean episode checks no further pulls.
-    ``action_log`` keeps the arm of every step. UCB1 has no rounds, so its
+    ARM_DONE when its next arm differs). The pseudo-regret advances per
+    pull. Each pull tests one ``limit``, the nearer of the next checkpoint
+    and the level's stop; the checkpoint and the stop are handled only on
+    a pull that reaches the limit or reports a transition. Pull tallies and
+    the action log are settled once per segment. A round scans each arm
+    once, in index order, so a segment is exactly the arm's pulls in the
+    round: its length is the record's per-arm tally, and ``r_max_observed``
+    is the largest ``r - 1`` over the records. The clean check compares the
+    policy's ``mean_cur`` with its ``radius`` after each explore pull; both
+    are the arm's in the round at that pull (see ``ConstSpacePolicy``), so
+    the harness computes no radius of its own. An unclean episode checks no
+    further pulls. ``action_log`` keeps the arm of every step. UCB1 has no rounds, so its
     trace reports the clean event and ``r_max_observed`` as None.
     """
     if horizon < 1:
@@ -107,7 +108,6 @@ def run_episode(
     for level, current in enumerate(policy.levels() if doubling else (policy,)):
         if round_based:
             level_end = min(horizon, t + current.horizon - current.t)
-            log_inv_delta = current.log_inv_delta
             stop = level_end if current.exploring else t
         else:
             stop = level_end = horizon
@@ -117,18 +117,21 @@ def run_episode(
         while t < stop:
             arm = select_arm()
             gap, mu, start = gaps[arm], true_means[arm], t
+            limit = min(stop, next_cp)
             while True:
                 report = observe(draw(arm))
                 t += 1
                 cum_gap += gap
-                if t == next_cp:
-                    trajectory.append((t, cum_gap))
-                    next_cp = min(2 * t, horizon)
-                # a stepping round-based level explores; t - start is the arm's round tally
-                if clean and abs(current.mean_cur - mu) > sqrt(log_inv_delta / (2.0 * (t - start))):
+                # a stepping round-based level explores, so the radius is this pull's
+                if clean and abs(current.mean_cur - mu) > current.radius:
                     clean = False
-                if report is not CONTINUE or t == stop:
-                    break
+                if report is not CONTINUE or t == limit:
+                    if t == next_cp:
+                        trajectory.append((t, cum_gap))
+                        next_cp = min(2 * t, horizon)
+                    if report is not CONTINUE or t == stop:
+                        break
+                    limit = min(stop, next_cp)
 
             pull_counts[arm] += t - start
             if actions is not None:

@@ -181,6 +181,35 @@ def test_config_rejects_delta_outside_unit_interval(tmp_path, capsys, delta):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_config_rejects_delta_whose_budget_overflows(tmp_path, capsys, command):
+    # 1e-310 lies in (0, 1), but 1/delta is inf, so no round budget exists
+    config = tmp_path / "delta.ini"
+    config.write_text(
+        "[policy]\nnames = constspace\ndelta = 1e-310\n"
+        "[instance]\nname = custom\nmeans = 0.9, 0.6\n"
+        "[grid]\nT = 300\nseeds = 1\n"
+    )
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config)] + (["--out", str(out)] if command == "run" else [])
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "policy constspace-geometric at T=300: pull budget overflows" in captured.err
+    assert "Traceback" not in captured.err and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_config_rejects_horizon_whose_delta_overflows(tmp_path, capsys, command):
+    # the default delta 1/T^3 needs T^3 as a float, which overflows past 1e308
+    out = tmp_path / "out"
+    argv = [command, "--instance", "custom(means=0.9|0.6)", "--T", f"300,{10**110}", "--seeds", "1"]
+    argv += ["--out", str(out)] if command == "run" else []
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"policy constspace-geometric at T={10**110}: horizon too large" in captured.err
+    assert "Traceback" not in captured.err and not out.exists()
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(cli.ConfigError):
         cli.config_from_ini("[grid]\nwings = 2\n")

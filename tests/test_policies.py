@@ -162,7 +162,7 @@ def test_two_arm_walk_rule_out_and_commit():
     assert close1.best == 0 and close1.second == 1
     assert close1.mean_best == pytest.approx(0.9)
     assert policy.r == 2 and policy.g == 0.25 and policy.g_prev == 0.5
-    assert policy.prev_best == 0 and policy.prev_mean == pytest.approx(0.9)
+    assert policy.reference == pytest.approx(0.65)
 
     # expected abandonment pull count, computed from the inequality directly
     log_inv = math.log(1e12)
@@ -388,11 +388,15 @@ def step_checking_segments(policy, reward_at, steps):
     ``t < horizon``, ``select_arm()`` keeps its arm after every CONTINUE,
     and after every explore pull, a transition too, ``mean_cur`` equals the
     pulled arm's running mean in the round, kept here by its own recurrence
-    (so an arm's first pull leaves exactly its reward there). Returns the
-    pulls stepped and the transition reports; a committed tail is skipped
-    in bulk."""
+    (so an arm's first pull leaves exactly its reward there), and ``radius``
+    equals sqrt(ln(1/delta) / 2n) at the arm's pulls ``n`` in the round.
+    ``reference`` is -inf until a round closes without committing, and
+    then that round's ``mean_best - g / 2``. Returns the pulls stepped and
+    the transition reports; a committed tail is skipped in bulk."""
     pulls, transitions = 0, []
     n, mean = 0, 0.0  # the scanned arm's pulls and running mean in the round
+    reference = -math.inf
+    assert policy.reference == reference
     while pulls < steps and policy.exploring:
         arm = policy.select_arm()
         reward = reward_at(arm, pulls)
@@ -403,6 +407,10 @@ def step_checking_segments(policy, reward_at, steps):
         assert policy.mean_cur == mean, (pulls, report)
         if n == 1:
             assert policy.mean_cur == reward
+        assert policy.radius == math.sqrt(policy.log_inv_delta / (2.0 * n)), (pulls, report)
+        if type(report) is RoundRecord and report.event == ROUND_DONE:
+            reference = report.mean_best - report.g / 2.0
+        assert policy.reference == reference, (pulls, report)
         if report is CONTINUE:
             if policy.t < policy.horizon:
                 assert policy.exploring and policy.select_arm() == arm

@@ -136,6 +136,20 @@ def test_point_mass_two_round_structure():
     assert trace.committed_arm == 0 and trace.separated
 
 
+@pytest.mark.parametrize("horizon", [16, 17])
+def test_checkpoint_transition_and_stop_on_one_pull(horizon):
+    # delta 0.4 gives round 1 a budget of ceil(8 ln 2.5) = 8, so arm 0's
+    # scan ends on checkpoint 8 and the round closes on checkpoint 16. At
+    # T = 16 that pull is also the level's stop; at T = 17 the stop and the
+    # last checkpoint fall on round 2's first pull instead.
+    cfg = PolicyConfig("constspace", delta_override=0.4)
+    trace = assert_matches_step_driven(cfg, make_custom([0.9, 0.6]), horizon, 0)
+    assert trace.round_log[0].budget == 8 and trace.round_log[0].pulls == (8, 8)
+    expected = [1, 2, 4, 8, 16] + ([17] if horizon == 17 else [])
+    assert [tick for tick, _ in trace.trajectory] == expected
+    assert trace.steps == sum(trace.pull_counts) == horizon
+
+
 def step_driven(cfg, instance, horizon, seed):
     """Oracle for ``run_episode``: select, draw and observe for every one of
     ``horizon`` steps, with no bulk exploitation fast-forward.
