@@ -27,7 +27,7 @@ from itertools import product
 
 from . import envs, simulator
 from .bounds import regret_bound, rmax_bound
-from .policies import PolicyConfig
+from .policies import ConstSpacePolicy, DoublingPolicy, PolicyConfig
 from .schedules import GEOMETRIC, Schedule, polylog, polylog_rounds_bound, rounds_to_precision
 
 EXIT_OK = 0
@@ -201,11 +201,15 @@ def build_instance(cfg: ExperimentConfig) -> envs.BanditInstance:
 
 
 def check_policies(cfg: ExperimentConfig, instance: envs.BanditInstance) -> None:
-    """Build each (policy, horizon) once, so that a delta or horizon a policy
-    cannot use is a config error, not a failed cell."""
+    """Build each (policy, horizon) once, and for the doubling wrapper the
+    inner policy of every level the horizon reaches, so that a delta or
+    horizon a policy cannot use is a config error, not a failed cell."""
     for policy, horizon in product(cfg.policies, cfg.horizons):
         try:
             simulator.make_policy(policy, instance.n_arms, horizon)
+            if policy.name == "doubling":
+                for level_horizon in DoublingPolicy.level_horizons(horizon):
+                    ConstSpacePolicy(instance.n_arms, level_horizon, policy.schedule)
         except (ValueError, OverflowError) as exc:
             raise ConfigError(f"policy {policy_spec_string(policy)} at T={horizon}: {exc}") from exc
 

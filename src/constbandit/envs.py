@@ -114,9 +114,12 @@ class RewardStream:
     Per arm: [generator, chunk, index into chunk], the chunk a list of
     Python floats. ``draw`` on a buffered pull only reads and moves the
     index; arm checks and generation happen on the refill path. ``skip``
-    only moves the index, maybe past the chunk; ``_refill`` generates the
-    chunks passed over when the arm is next drawn. A point arm keeps no
-    state and always takes the refill path.
+    only moves the index, maybe past the chunk; when the arm is next drawn,
+    ``_refill`` jumps a bernoulli arm's generator over the chunks passed
+    over in one ``advance``, so a skip of any length costs one chunk. A
+    beta chunk's sampler consumes a varying number of generator outputs, so
+    a beta arm still generates every chunk passed over. A point arm keeps
+    no state and always takes the refill path.
     """
 
     def __init__(self, instance: BanditInstance, seed: int):
@@ -133,8 +136,12 @@ class RewardStream:
         spec = self.instance.arms[arm]
         chunks, state[2] = divmod(state[2], _CHUNK)
         if spec.kind == "bernoulli":
-            for _ in range(chunks):
-                uniform = gen.random(_CHUNK)
+            # ``random`` takes one 64-bit output per double, so advancing
+            # the generator past the skipped chunks leaves it where drawing
+            # them would.
+            if chunks > 1:
+                gen.bit_generator.advance(_CHUNK * (chunks - 1))
+            uniform = gen.random(_CHUNK)
             state[1] = (uniform < spec.a).astype(np.float64).tolist()
         else:
             for _ in range(chunks):

@@ -346,6 +346,17 @@ class DoublingPolicy:
     def delta(self) -> float:
         return self.inner.delta
 
+    @classmethod
+    def level_horizons(cls, horizon: int):
+        """Yield T_0, T_1, ... for every level an episode of ``horizon``
+        steps reaches: those that start before the levels so far add up to
+        ``horizon``."""
+        level_horizon, covered = cls.INITIAL_HORIZON, 0
+        while covered < horizon:
+            yield level_horizon
+            covered += level_horizon
+            level_horizon = level_horizon**2
+
     def select_arm(self) -> int:
         return self.inner.select_arm()
 
@@ -390,22 +401,34 @@ class Ucb1Policy:
     pulls of one arm.
 
     The next arm comes from one O(K) loop of Python floats. It evaluates
-    each index at ``t`` and at ``until = t + WINDOW``, and tracks the argmax
-    at ``t`` together with ``bound``, the largest ``until``-index of the
-    other arms (a displaced leader enters ``bound``). Until ``until`` only
-    the chosen arm is pulled, and an arm that is not pulled keeps its count
-    and mean, so its index can only grow with t: ``log`` of two distinct
-    integers differs by far more than one ulp, and ``*``, ``/``, ``sqrt``
-    and ``+`` round monotonically. While ``t <= until``, a pulled arm whose
-    own index is strictly above ``bound`` is therefore still the unique
-    argmax, and the loop is skipped; the strict compare keeps the lowest-id
-    tie-break. Keeps 2K + 4 words of state: the two tables, ``t``, the
-    stored next arm, ``bound`` and ``until``.
+    each index at ``t`` and at ``until = t + WINDOW`` and tracks the argmax
+    at ``t``. Among the other arms (a displaced leader joins them as it is
+    displaced) it tracks the top two ``until``-indexes: ``rival`` is the arm
+    with the largest, ``bound`` that index, and ``bound2`` the largest of
+    the arms other than ``arm`` and ``rival``. An arm that is not pulled
+    keeps its count and mean, so its index can only grow with t: ``log`` of
+    two distinct integers differs by far more than one ulp, and ``*``,
+    ``/``, ``sqrt`` and ``+`` round monotonically. Until ``until`` only
+    ``arm`` and ``rival`` are pulled, so every other arm's index stays at or
+    below ``bound2``. While ``t <= until``:
+
+    - a pulled arm whose index is strictly above ``bound`` is still the
+      unique argmax, and the loop is skipped;
+    - one strictly above ``bound2`` is compared with the rival's index at
+      ``t``, computed as the loop would. The strictly larger of the two is
+      the unique argmax. If it is the rival, the two swap with no loop:
+      ``bound`` becomes the larger of the old arm's ``until``-index and
+      ``bound2``, and ``bound2`` and ``until`` stay.
+
+    An exact tie with the rival, an index at or below ``bound2`` and an
+    expired window run the loop, whose strict compare keeps the lowest-id
+    tie-break. Keeps 2K + 6 words of state: the two tables, ``t``, the
+    stored next arm, ``rival``, ``bound``, ``bound2`` and ``until``.
     """
 
     WINDOW = 64  # steps a bound is valid for; any value >= 1 gives the same arms
     CONFIG = ("n_arms",)
-    __slots__ = CONFIG + ("counts", "means", "t", "arm", "bound", "until")
+    __slots__ = CONFIG + ("counts", "means", "t", "arm", "rival", "bound", "bound2", "until")
 
     def __init__(self, n_arms: int):
         if n_arms < 1:
@@ -415,8 +438,10 @@ class Ucb1Policy:
         self.means = [0.0] * n_arms
         self.t = 0
         self.arm = 0
+        self.rival = 0
         self.bound = 0.0
-        self.until = 0  # no bound before the first full pass
+        self.bound2 = 0.0
+        self.until = 0  # no bounds before the first full pass
 
     def select_arm(self) -> int:
         """Pure read of the arm the last ``observe`` chose."""
@@ -435,19 +460,35 @@ class Ucb1Policy:
             self.arm = t
             return ARM_DONE
         c = 2.0 * log(t)
-        if t <= self.until and mean + sqrt(c / n) > self.bound:
-            return CONTINUE
+        if t <= self.until:
+            index = mean + sqrt(c / n)
+            if index > self.bound:
+                return CONTINUE
+            if index > self.bound2:
+                rival = self.rival
+                rival_index = means[rival] + sqrt(c / counts[rival])
+                if index > rival_index:
+                    return CONTINUE
+                if rival_index > index:
+                    self.arm, self.rival = rival, arm
+                    self.bound = max(mean + sqrt(2.0 * log(self.until) / n), self.bound2)
+                    return ARM_DONE
         until = t + self.WINDOW
         c_until = 2.0 * log(until)
-        best, top, best_later, bound = 0, -math.inf, -math.inf, -math.inf
+        best, top, best_later = 0, -math.inf, -math.inf
+        rival, bound, bound2 = 0, -math.inf, -math.inf
         for i in range(self.n_arms):
             mean_i, n_i = means[i], counts[i]
             index, later = mean_i + sqrt(c / n_i), mean_i + sqrt(c_until / n_i)
             if index > top:  # strict: ties keep the lowest arm id
-                best, top, best_later, later = i, index, later, best_later
-            if later > bound:  # after a lead change, ``later`` is the displaced leader's
-                bound = later
-        self.arm, self.bound, self.until = best, bound, until
+                # the displaced leader takes this arm's place among the others
+                best, top, best_later, i, later = i, index, later, best, best_later
+            if later > bound2:
+                if later > bound:
+                    rival, bound, bound2 = i, later, bound
+                else:
+                    bound2 = later
+        self.arm, self.rival, self.bound, self.bound2, self.until = best, rival, bound, bound2, until
         return CONTINUE if best == arm else ARM_DONE
 
     def state_words(self) -> int:

@@ -210,6 +210,20 @@ def test_config_rejects_horizon_whose_delta_overflows(tmp_path, capsys, command)
     assert "Traceback" not in captured.err and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_config_rejects_doubling_horizon_whose_deep_level_overflows(tmp_path, capsys, command):
+    # the wrapper itself builds only level 0; at T = 10^110 the episode
+    # reaches level 7, T_7 = 10^128, whose delta 1/T_7^3 overflows
+    out = tmp_path / "out"
+    argv = [command, "--policy", "doubling", "--instance", "custom(means=0.9|0.6)"]
+    argv += ["--T", str(10**110), "--seeds", "1"]
+    argv += ["--out", str(out)] if command == "run" else []
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"policy doubling-geometric at T={10**110}: horizon too large" in captured.err
+    assert "Traceback" not in captured.err and not out.exists()
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(cli.ConfigError):
         cli.config_from_ini("[grid]\nwings = 2\n")

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -150,6 +151,34 @@ def test_skip_leaves_stream_where_draws_would(arm, drawn_before, n):
     assert [stream.draw(0) for _ in range(drawn_before)] == values[:drawn_before]
     stream.skip(0, n)
     assert [stream.draw(0), stream.draw(0)] == values[drawn_before + n :]
+
+
+@pytest.mark.parametrize("arm", [bernoulli(0.3), beta_arm(2.0, 5.0)], ids=["bernoulli", "beta"])
+def test_long_skip_leaves_stream_where_draws_would(arm):
+    # a skip over 2000 whole chunks: a bernoulli arm's generator advances
+    # over them in one jump, a beta arm's generates each of them
+    n = 256 * 2000 + 17
+    inst = BanditInstance((arm,), "x")
+    stepped = RewardStream(inst, 11)
+    for _ in range(n):
+        stepped.draw(0)
+    stream = RewardStream(inst, 11)
+    stream.draw(0)
+    stream.skip(0, n - 1)
+    assert [stream.draw(0) for _ in range(300)] == [stepped.draw(0) for _ in range(300)]
+
+
+def test_huge_bernoulli_skip_matches_advanced_generator():
+    # 10**12 chunks could never be generated one by one; the draws after
+    # the skip are those of an independently built and advanced PCG64
+    p, seed, chunks = 0.5, 3, 10**12
+    stream = RewardStream(make_custom([0.9, p]), seed)
+    stream.skip(1, 256 * chunks + 5)
+    got = [stream.draw(1) for _ in range(300)]
+    bit_generator = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+    bit_generator.advance(256 * chunks)
+    uniform = np.random.Generator(bit_generator).random(512)
+    assert got == (uniform[5:305] < p).astype(np.float64).tolist()
 
 
 def test_skip_on_point_arm_and_bad_count():

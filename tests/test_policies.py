@@ -244,9 +244,9 @@ def test_register_holding_a_container_fails_the_count():
 
 
 def test_ucb1_state_words_grow_linearly():
-    # both tables, t, the stored next arm, bound and until
-    assert Ucb1Policy(100).state_words() == 204
-    assert Ucb1Policy(2).state_words() == 8
+    # both tables, t, the stored next arm, rival, bound, bound2 and until
+    assert Ucb1Policy(100).state_words() == 206
+    assert Ucb1Policy(2).state_words() == 10
     assert DoublingPolicy(7).state_words() == ConstSpacePolicy(7, 100).state_words() + 3
     assert DoublingPolicy(7).state_words() == 23
 
@@ -335,6 +335,60 @@ def test_ucb1_matches_numpy_index(window, n_arms, rewards):
     assert policy.means == reference.means.tolist()
 
 
+def until_indexes(policy):
+    c_until = 2.0 * math.log(policy.until)
+    return [m + math.sqrt(c_until / n) for m, n in zip(policy.means, policy.counts)]
+
+
+@given(window=st.sampled_from((1, 2, 7, 64)), n_arms=st.integers(2, 20), rewards=_REWARD_SEQUENCES)
+def test_ucb1_skip_registers_bound_the_other_arms(window, n_arms, rewards):
+    # While t <= until: the rival is another arm, every other arm's
+    # until-index is at most bound, and every arm but the two at most bound2.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Ucb1Policy, "WINDOW", window)
+        policy, reference = Ucb1Policy(n_arms), NumpyUcb1(n_arms)
+        for reward in rewards:
+            policy.observe(reward)
+            reference.observe(reward)
+            assert policy.select_arm() == reference.select_arm()
+            if policy.t > policy.until:
+                continue
+            arm, rival = policy.arm, policy.rival
+            assert rival != arm
+            for i, later in enumerate(until_indexes(policy)):
+                if i != arm:
+                    assert later <= policy.bound
+                if i not in (arm, rival):
+                    assert later <= policy.bound2
+
+
+def ucb1_after(rewards):
+    policy = Ucb1Policy(2)
+    reports = [policy.observe(reward) for reward in rewards]
+    return policy, reports
+
+
+def test_ucb1_swaps_with_its_rival_without_a_pass():
+    # After the sweep the pass at t = 2 breaks an exact tie for arm 0 and
+    # sets until = 66. A second 1.0 leaves arm 0's index below arm 1's,
+    # which was never pulled since: arm 1 takes over and until stays.
+    policy, reports = ucb1_after([1.0, 1.0])
+    assert (policy.arm, policy.rival, policy.until) == (0, 1, 66)
+    policy, reports = ucb1_after([1.0, 1.0, 1.0])
+    assert reports[-1] == ARM_DONE
+    assert (policy.arm, policy.rival, policy.until) == (1, 0, 66)
+    assert policy.bound == 1.0 + math.sqrt(2.0 * math.log(66) / 2)  # arm 0's until-index
+
+
+def test_ucb1_exact_tie_with_rival_runs_the_pass_and_lowest_id_wins():
+    # One more 1.0 gives arm 1 the count and mean of arm 0: the indexes tie
+    # exactly, so the pass runs (until moves to t + 64) and arm 0 wins.
+    policy, reports = ucb1_after([1.0, 1.0, 1.0, 1.0])
+    assert policy.counts == [2, 2] and policy.means == [1.0, 1.0]
+    assert reports[-1] == ARM_DONE
+    assert (policy.arm, policy.rival, policy.until) == (0, 1, 68)
+
+
 def test_doubling_level_schedule():
     policy = DoublingPolicy(2)
     assert policy.level == 0 and policy.level_horizon == 10
@@ -378,6 +432,9 @@ def test_doubling_levels_cover_horizon():
         inner.advance_exploitation(steps)
         done += steps
     assert horizons == [10, 100, 10**4]
+    assert horizons == list(DoublingPolicy.level_horizons(total_T))
+    assert list(DoublingPolicy.level_horizons(110)) == [10, 100]
+    assert list(DoublingPolicy.level_horizons(111)) == [10, 100, 10**4]
     assert policy.t_total == total_T and policy.level == 2
     assert len(horizons) <= math.log2(math.log10(total_T)) + 1
 
