@@ -21,7 +21,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import BrokenExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import product
 
@@ -205,13 +204,18 @@ def check_policies(cfg: ExperimentConfig, instance: envs.BanditInstance) -> None
     inner policy of every level the horizon reaches, so that a delta or
     horizon a policy cannot use is a config error, not a failed cell."""
     for policy, horizon in product(cfg.policies, cfg.horizons):
+        where = f"policy {policy_spec_string(policy)} at T={horizon}"
         try:
             simulator.make_policy(policy, instance.n_arms, horizon)
-            if policy.name == "doubling":
-                for level_horizon in DoublingPolicy.level_horizons(horizon):
-                    ConstSpacePolicy(instance.n_arms, level_horizon, policy.schedule)
         except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"policy {policy_spec_string(policy)} at T={horizon}: {exc}") from exc
+            raise ConfigError(f"{where}: {exc}") from exc
+        if policy.name != "doubling":
+            continue
+        for level, level_horizon in enumerate(DoublingPolicy.level_horizons(horizon)):
+            try:
+                ConstSpacePolicy(instance.n_arms, level_horizon, policy.schedule)
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(f"{where}: level {level} (T_{level} = {level_horizon}): {exc}") from exc
 
 
 # -- INI config files ---------------------------------------------------------
@@ -488,9 +492,15 @@ def cmd_run(args) -> int:
     cfg = resolve_config(args)
     instance = build_instance(cfg)
     check_policies(cfg, instance)
-    reports = simulator.run_suite(
-        cfg.policies, [instance], cfg.horizons, cfg.n_seeds, cfg.base_seed, jobs=cfg.jobs
-    )
+    from concurrent.futures import BrokenExecutor
+
+    try:
+        reports = simulator.run_suite(
+            cfg.policies, [instance], cfg.horizons, cfg.n_seeds, cfg.base_seed, jobs=cfg.jobs
+        )
+    except BrokenExecutor as exc:
+        print(f"error: worker pool failed: {exc}", file=sys.stderr)
+        return EXIT_IO
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
         if cfg.fmt in ("csv", "both"):
@@ -706,9 +716,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except BrokenExecutor as exc:
-        print(f"error: worker pool failed: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

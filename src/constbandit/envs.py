@@ -7,6 +7,10 @@ per-arm reward sequences. This keeps cross-policy comparisons
 deterministic and lower-variance. Draws are buffered in fixed chunks of
 256, which pins the exact stream for every arm kind; golden-value tests
 freeze the first draws.
+
+numpy is imported when the first bernoulli or beta chunk is drawn, not when
+this module is, so ``import constbandit`` and work that draws no random
+reward (bounds, point-mass episodes) never load it.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from .bounds import GapProfile
 
@@ -129,12 +131,17 @@ class RewardStream:
 
     def _refill(self, arm: int) -> list:
         state = self._buffers.setdefault(arm, [None, None, _CHUNK])
+        spec = self.instance.arms[arm]
+        chunks, state[2] = divmod(state[2], _CHUNK)
+        if spec.kind == "point":
+            state[1] = [spec.a] * _CHUNK
+            return state
+        import numpy as np
+
         if state[0] is None:
             seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(arm,))
             state[0] = np.random.Generator(np.random.PCG64(seq))
         gen = state[0]
-        spec = self.instance.arms[arm]
-        chunks, state[2] = divmod(state[2], _CHUNK)
         if spec.kind == "bernoulli":
             # ``random`` takes one 64-bit output per double, so advancing
             # the generator past the skipped chunks leaves it where drawing
@@ -156,15 +163,12 @@ class RewardStream:
             if i < _CHUNK:
                 state[2] = i + 1
                 return state[1][i]
-        except KeyError:  # not drawn or skipped yet, a point arm, or a bad arm
+        except KeyError:  # not drawn or skipped yet, or a bad arm
             pass
         return self._draw_refilled(arm)
 
     def _draw_refilled(self, arm: int) -> float:
         self._check_arm(arm)
-        spec = self.instance.arms[arm]
-        if spec.kind == "point":
-            return spec.a
         state = self._refill(arm)
         i = state[2]
         state[2] = i + 1
@@ -179,8 +183,7 @@ class RewardStream:
         if n < 0:
             raise ValueError("n must be >= 0")
         self._check_arm(arm)
-        if self.instance.arms[arm].kind != "point":
-            self._buffers.setdefault(arm, [None, None, _CHUNK])[2] += n
+        self._buffers.setdefault(arm, [None, None, _CHUNK])[2] += n
 
 
 def make_custom(means, kind: str = "bernoulli", label: str = "") -> BanditInstance:

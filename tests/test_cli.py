@@ -1,7 +1,12 @@
+import concurrent.futures
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -213,14 +218,16 @@ def test_config_rejects_horizon_whose_delta_overflows(tmp_path, capsys, command)
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_config_rejects_doubling_horizon_whose_deep_level_overflows(tmp_path, capsys, command):
     # the wrapper itself builds only level 0; at T = 10^110 the episode
-    # reaches level 7, T_7 = 10^128, whose delta 1/T_7^3 overflows
+    # reaches level 7, T_7 = 10^128, whose delta 1/T_7^3 overflows, and the
+    # error names that level and its horizon
     out = tmp_path / "out"
     argv = [command, "--policy", "doubling", "--instance", "custom(means=0.9|0.6)"]
     argv += ["--T", str(10**110), "--seeds", "1"]
     argv += ["--out", str(out)] if command == "run" else []
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
-    assert f"policy doubling-geometric at T={10**110}: horizon too large" in captured.err
+    expected = f"policy doubling-geometric at T={10**110}: level 7 (T_7 = {10**128}): horizon too large"
+    assert expected in captured.err
     assert "Traceback" not in captured.err and not out.exists()
 
 
@@ -547,13 +554,66 @@ class _BrokenPool:
 
 
 def test_broken_worker_pool_exits_3(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(simulator, "ProcessPoolExecutor", _BrokenPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _BrokenPool)
     monkeypatch.setattr(simulator.os, "cpu_count", lambda: 2)
     argv = ["run", "--policy", "constspace,ucb1", "--T", "50", "--seeds", "1", "--jobs", "2"]
     code = cli.main(argv + ["--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 3
     assert err == "error: worker pool failed: a child process terminated abruptly\n"
+
+
+# Modules that only reward draws and the worker pool need.
+_HEAVY = ("numpy", "multiprocessing", "concurrent.futures.process")
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _heavy_modules_after(script: str) -> set[str]:
+    """Run ``script`` in a fresh interpreter on this checkout's package and
+    return which of ``_HEAVY`` it left loaded."""
+    script += f"\nimport sys\nprint('loaded:', *(m for m in {_HEAVY!r} if m in sys.modules))"
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(_SRC)),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    line = next(line for line in done.stdout.splitlines() if line.startswith("loaded:"))
+    return set(line.split()[1:])
+
+
+_EPISODE = """
+from constbandit import PolicyConfig, make_custom, run_episode
+run_episode(PolicyConfig("constspace"), make_custom([0.9, 0.6], kind={kind!r}), 3000, 0)
+"""
+
+
+@pytest.mark.parametrize(
+    "script,expected",
+    [
+        ("import constbandit, constbandit.cli", set()),
+        (
+            "from constbandit import cli\n"
+            "assert cli.main(['bounds', '--instance', 'linear(K=16)', '--T', '100000']) == 0",
+            set(),
+        ),
+        (_EPISODE.format(kind="point"), set()),
+        (_EPISODE.format(kind="bernoulli"), {"numpy"}),  # so the empty sets are not vacuous
+    ],
+    ids=["import", "bounds", "point-episode", "bernoulli-episode"],
+)
+def test_numpy_and_pool_load_only_when_used(script, expected):
+    assert _heavy_modules_after(script) == expected
+
+
+def test_parent_loads_numpy_before_forking_the_pool():
+    # forked workers inherit the parent's numpy instead of each importing it
+    script = (
+        "import os\n"
+        "os.cpu_count = lambda: 2  # a pool of two even on a one-core host\n"
+        "from constbandit import PolicyConfig, make_custom, run_suite\n"
+        "cfgs = [PolicyConfig('constspace'), PolicyConfig('ucb1')]\n"
+        "run_suite(cfgs, [make_custom([0.9, 0.6])], [50], 1, jobs=2)"
+    )
+    assert _heavy_modules_after(script) == set(_HEAVY)
 
 
 def test_memaudit_rejects_small_K(capsys):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from collections import Counter
 from dataclasses import replace
@@ -613,7 +614,7 @@ class _SerialPool:
     "jobs,cores,expected", [(64, 2, [2]), (64, 100, [3]), (2, 100, [2]), (64, 1, [])]
 )
 def test_run_suite_clamps_pool_size(monkeypatch, jobs, cores, expected):
-    monkeypatch.setattr(simulator, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     monkeypatch.setattr(simulator.os, "cpu_count", lambda: cores)
     inst = make_custom([0.9, 0.6])
