@@ -2,7 +2,9 @@
 
 Experiment configs live in flat INI files (one section per grid axis) and
 every field can be overridden by a flag; the CONSTBANDIT_SEED environment
-variable overrides the base seed last. Episode k of a cell is seeded
+variable overrides the base seed last. A policy is named by its
+``PolicyConfig`` spec, which carries its schedule and any fixed delta,
+e.g. ``constspace-geometric@0.01``. Episode k of a cell is seeded
 ``base_seed + cell_index * n_seeds + k``, and no other randomness is used
 (no wall-clock entropy anywhere), so a rerun with the same config is
 byte-identical regardless of --jobs.
@@ -89,19 +91,11 @@ def default_config() -> ExperimentConfig:
 
 # -- policy / instance spec strings ------------------------------------------
 
-_POLICY_RE = re.compile(r"^(?P<name>constspace|doubling|ucb1)(?:-(?P<sched>.+))?$")
-
-
 def parse_policy_spec(text: str) -> PolicyConfig:
-    """Parse e.g. 'ucb1', 'constspace', 'constspace-polylog(0.5)', 'doubling-adaptive'."""
-    m = _POLICY_RE.match(text.strip())
-    if not m:
-        raise ConfigError(f"policy.names: cannot parse policy spec {text!r}")
-    name, sched = m.group("name"), m.group("sched")
-    if name == "ucb1" and sched is not None:
-        raise ConfigError("policy.names: ucb1 takes no schedule")
+    """``PolicyConfig.parse``, e.g. 'ucb1', 'constspace-polylog(0.5)',
+    'constspace@1e-07', with its ValueError as a config error."""
     try:
-        return PolicyConfig(name, GEOMETRIC if sched is None else Schedule.parse(sched))
+        return PolicyConfig.parse(text)
     except ValueError as exc:
         raise ConfigError(f"policy.names: {exc}") from exc
 
@@ -112,32 +106,6 @@ def parse_policy_list(text: str) -> list[PolicyConfig]:
     if not policies:
         raise ConfigError("policy.names: at least one policy is required")
     return policies
-
-
-def _with_delta(policies: list[PolicyConfig], delta: float | None) -> list[PolicyConfig]:
-    """The policies with ``delta`` given to each constspace one, which at
-    least one must be; a None delta leaves them as they are."""
-    if delta is None:
-        return policies
-    if not any(p.name == "constspace" for p in policies):
-        raise ConfigError("policy.delta: applies to constspace policies only, and none is named")
-    return [PolicyConfig(p.name, p.schedule, delta if p.name == "constspace" else None) for p in policies]
-
-
-def _shared_delta(policies: list[PolicyConfig]) -> float | None:
-    """The delta ``_with_delta`` gave the constspace policies, or None."""
-    deltas = {p.delta_override for p in policies if p.name == "constspace"}
-    if not deltas - {None}:
-        return None
-    if len(deltas) != 1:
-        raise ConfigError("policy.delta: per-policy overrides cannot be serialized")
-    return deltas.pop()
-
-
-def policy_spec_string(cfg: PolicyConfig) -> str:
-    if cfg.name == "ucb1":
-        return "ucb1"
-    return f"{cfg.name}-{cfg.schedule.label()}"
 
 
 _INSTANCE_PARAM_TYPES = {
@@ -204,7 +172,7 @@ def check_policies(cfg: ExperimentConfig, instance: envs.BanditInstance) -> None
     inner policy of every level the horizon reaches, so that a delta or
     horizon a policy cannot use is a config error, not a failed cell."""
     for policy, horizon in product(cfg.policies, cfg.horizons):
-        where = f"policy {policy_spec_string(policy)} at T={horizon}"
+        where = f"policy {policy.label()} at T={horizon}"
         try:
             simulator.make_policy(policy, instance.n_arms, horizon)
         except (ValueError, OverflowError) as exc:
@@ -228,10 +196,7 @@ def _ini_parser() -> configparser.ConfigParser:
 
 def config_to_ini(cfg: ExperimentConfig) -> str:
     parser = _ini_parser()
-    parser["policy"] = {"names": ", ".join(policy_spec_string(p) for p in cfg.policies)}
-    delta = _shared_delta(cfg.policies)
-    if delta is not None:
-        parser["policy"]["delta"] = repr(delta)
+    parser["policy"] = {"names": ", ".join(p.label() for p in cfg.policies)}
     inst = {"name": cfg.instance_name}
     for key, value in cfg.instance_params.items():
         if key == "means":
@@ -259,19 +224,10 @@ def config_from_ini(text: str, output: bool = True) -> ExperimentConfig:
         raise ConfigError(f"config file: {exc}") from exc
     cfg = default_config()
     if parser.has_section("policy"):
-        names = parser.get("policy", "names", fallback="constspace")
-        cfg.policies = parse_policy_list(names)
-        if parser.has_option("policy", "delta"):
-            try:
-                delta = float(parser.get("policy", "delta"))
-            except ValueError as exc:
-                raise ConfigError(f"policy.delta: {exc}") from exc
-            if not 0.0 < delta < 1.0:
-                raise ConfigError("policy.delta: must lie in (0, 1)")
-            cfg.policies = _with_delta(cfg.policies, delta)
         for key in parser["policy"]:
-            if key not in ("names", "delta"):
+            if key != "names":
                 raise ConfigError(f"policy.{key}: unknown key")
+        cfg.policies = parse_policy_list(parser.get("policy", "names", fallback="constspace"))
     if parser.has_section("instance"):
         if not parser.has_option("instance", "name"):
             raise ConfigError("instance.name: missing instance preset name")
@@ -380,8 +336,8 @@ def resolve_config(args) -> ExperimentConfig:
     else:
         cfg = default_config()
 
-    if getattr(args, "policy", None) is not None:  # keeps a config file's [policy] delta
-        cfg.policies = _with_delta(parse_policy_list(args.policy), _shared_delta(cfg.policies))
+    if getattr(args, "policy", None) is not None:
+        cfg.policies = parse_policy_list(args.policy)
     if getattr(args, "instance", None):
         cfg.instance_name, cfg.instance_params = parse_instance_spec(args.instance)
     if getattr(args, "T", None):
@@ -492,15 +448,9 @@ def cmd_run(args) -> int:
     cfg = resolve_config(args)
     instance = build_instance(cfg)
     check_policies(cfg, instance)
-    from concurrent.futures import BrokenExecutor
-
-    try:
-        reports = simulator.run_suite(
-            cfg.policies, [instance], cfg.horizons, cfg.n_seeds, cfg.base_seed, jobs=cfg.jobs
-        )
-    except BrokenExecutor as exc:
-        print(f"error: worker pool failed: {exc}", file=sys.stderr)
-        return EXIT_IO
+    reports = simulator.run_suite(
+        cfg.policies, [instance], cfg.horizons, cfg.n_seeds, cfg.base_seed, jobs=cfg.jobs
+    )
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
         if cfg.fmt in ("csv", "both"):

@@ -22,6 +22,7 @@ memory audit; ``observe`` also computes its next arm, so its
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from math import log, sqrt
 
@@ -60,7 +61,13 @@ def default_delta(horizon: int) -> float:
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Named policy plus its schedule and optional confidence override."""
+    """Named policy plus its schedule and optional fixed confidence delta.
+
+    Written as the spec ``name[-schedule][@delta]``, e.g. ``ucb1`` or
+    ``constspace-polylog(0.5)@0.01``; ``label`` and ``parse`` are inverses.
+    Only ``constspace`` takes a delta, since the doubling wrapper sets one
+    per level; without one the policy uses ``default_delta(T)``.
+    """
 
     name: str
     schedule: Schedule = GEOMETRIC
@@ -69,9 +76,36 @@ class PolicyConfig:
     def __post_init__(self):
         if self.name not in ("constspace", "doubling", "ucb1"):
             raise ValueError(f"unknown policy {self.name!r}")
+        if self.name == "ucb1" and self.schedule != GEOMETRIC:
+            raise ValueError("ucb1 takes no schedule")
+        delta = self.delta_override
+        if delta is not None and self.name != "constspace":
+            raise ValueError(f"delta applies to constspace only, not {self.name}")
+        if delta is not None and not 0.0 < delta < 1.0:  # also rejects nan
+            raise ValueError("delta must lie in (0, 1)")
 
     def schedule_label(self) -> str:
-        return "-" if self.name == "ucb1" else self.schedule.label()
+        """The CSV ``schedule`` column: the schedule's label, ``-`` for UCB1,
+        then ``@delta`` only when a delta is set."""
+        label = "-" if self.name == "ucb1" else self.schedule.label()
+        return label if self.delta_override is None else f"{label}@{self.delta_override!r}"
+
+    def label(self) -> str:
+        """Spec string; ``parse`` gives the config back."""
+        return "ucb1" if self.name == "ucb1" else f"{self.name}-{self.schedule_label()}"
+
+    @classmethod
+    def parse(cls, text: str) -> "PolicyConfig":
+        """Inverse of ``label()``; the schedule defaults to geometric and
+        follows ``Schedule.parse``. Raises ValueError otherwise."""
+        m = re.fullmatch(r"(constspace|doubling|ucb1)(?:-([^@]+))?(?:@(.*))?", text.strip())
+        if m is None:
+            raise ValueError(f"cannot parse policy spec {text!r}")
+        name, schedule, delta = m.groups()
+        if name == "ucb1" and schedule is not None:
+            raise ValueError("ucb1 takes no schedule")
+        schedule = GEOMETRIC if schedule is None else Schedule.parse(schedule)
+        return cls(name, schedule, None if delta is None else float(delta))
 
 
 @dataclass(frozen=True)
@@ -496,16 +530,10 @@ class Ucb1Policy:
 
 
 def make_policy(config: PolicyConfig, n_arms: int, horizon: int):
-    """Fresh policy state for an episode of ``horizon`` steps.
-
-    Only the constant-space policy is told the horizon. The doubling
-    wrapper, picked by name, runs without it and manages its own per-level
-    confidence, so any delta override is rejected there.
-    """
+    """Fresh policy state for an episode of ``horizon`` steps; only the
+    constant-space policy is told the horizon and the config's delta."""
     if config.name == "ucb1":
         return Ucb1Policy(n_arms)
     if config.name == "doubling":
-        if config.delta_override is not None:
-            raise ValueError("doubling wrapper sets delta per level; no override")
         return DoublingPolicy(n_arms, config.schedule)
     return ConstSpacePolicy(n_arms, horizon, config.schedule, delta=config.delta_override)

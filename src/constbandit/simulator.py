@@ -390,7 +390,8 @@ def run_suite(
 
     The process pool is imported only when one is built. numpy is imported
     just before, in this process: forked workers inherit it, where each
-    would otherwise import it on its first draw, about 0.1 s a worker.
+    would otherwise import it on its first draw, about 0.1 s a worker. A
+    pool whose worker dies is reported as an OSError.
     """
     if not policy_configs or not instances or not horizons:
         raise ValueError("policies, instances and horizons must be non-empty")
@@ -402,12 +403,15 @@ def run_suite(
         cells.append((index, cfg, inst, horizon, seeds))
     workers = min(jobs, len(cells), os.cpu_count() or 1)
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
         import numpy  # noqa: F401  (loaded once here, inherited by the workers)
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, cells))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_run_cell, cells))
+        except BrokenExecutor as exc:
+            raise OSError(f"worker pool failed: {exc}") from exc
     else:
         results = [_run_cell(cell) for cell in cells]
     results.sort(key=lambda pair: pair[0])

@@ -3,16 +3,20 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import constbandit.cli as cli
 import constbandit.simulator as simulator
-from constbandit import GEOMETRIC, PolicyConfig, polylog
+from constbandit import ADAPTIVE_RATIO, GEOMETRIC, PolicyConfig, polylog
 from constbandit.simulator import LemmaCheck, LemmaReport
 
 
@@ -21,17 +25,73 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-def test_parse_policy_specs():
+_BAD_SPECS = (
+    "constspace-fancy",
+    "ucb1-geometric",
+    "ucb1@0.1",
+    "doubling@0.1",
+    "constspace@0",
+    "constspace@1",
+    "constspace@nan",
+    "constspace@-0.5",
+    "constspace@abc",
+    "constspace@",
+    "constspace-@0.1",
+)
+
+
+def test_parse_policy_specs(tmp_path, capsys):
     assert cli.parse_policy_spec("ucb1") == PolicyConfig("ucb1")
     assert cli.parse_policy_spec("constspace") == PolicyConfig("constspace")
     assert cli.parse_policy_spec("constspace-geometric").schedule == GEOMETRIC
     assert cli.parse_policy_spec("constspace-polylog(0.25)").schedule == polylog(0.25)
     assert cli.parse_policy_spec("constspace-polylog").schedule == polylog(0.5)
     assert cli.parse_policy_spec("doubling-adaptive").schedule.kind == "adaptive"
-    with pytest.raises(cli.ConfigError):
-        cli.parse_policy_spec("constspace-fancy")
-    with pytest.raises(cli.ConfigError):
-        cli.parse_policy_spec("ucb1-geometric")
+    assert cli.parse_policy_spec("constspace@1e-07") == PolicyConfig("constspace", delta_override=1e-07)
+    assert cli.parse_policy_spec("constspace-polylog(0.5)@0.01") == PolicyConfig(
+        "constspace", polylog(0.5), 0.01
+    )
+    out = tmp_path / "out"
+    for spec in _BAD_SPECS:
+        with pytest.raises(cli.ConfigError, match="^policy.names: "):
+            cli.parse_policy_spec(spec)
+        for command in ("run", "verify"):
+            extra = ["--out", str(out)] if command == "run" else []
+            assert cli.main([command, "--policy", spec, "--T", "100", "--seeds", "1", *extra]) == 2
+            assert "config error: policy.names: " in capsys.readouterr().err
+            assert not out.exists()
+
+
+def _spec_policies():
+    """Every valid config of the grid; a delta on doubling or ucb1, or a
+    schedule on ucb1, is rejected and skipped."""
+    for case in product(
+        ("constspace", "doubling", "ucb1"),
+        (GEOMETRIC, ADAPTIVE_RATIO, polylog(0.5), polylog(0.123456789), polylog(1 / 3)),
+        (None, 0.4, 1e-07, 0.1 + 0.2, 5e-300),
+    ):
+        try:
+            yield PolicyConfig(*case)
+        except ValueError:
+            continue
+
+
+@given(st.lists(st.sampled_from(list(_spec_policies())), min_size=1, max_size=4))
+@example([PolicyConfig("constspace", delta_override=0.01), PolicyConfig("constspace"), PolicyConfig("doubling")])
+def test_policy_spec_round_trip(policies):
+    for cfg in policies:
+        assert PolicyConfig.parse(cfg.label()) == cfg
+    exp = cli.ExperimentConfig(policies=policies, horizons=[100])
+    assert cli.config_from_ini(cli.config_to_ini(exp)) == exp
+
+
+def test_readme_ini_example_names_round_trip():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    cfg = cli.config_from_ini(block)
+    names = re.search(r"^names = (.*)$", block, re.M).group(1)
+    assert [p.label() for p in cfg.policies] == [name.strip() for name in names.split(",")]
+    assert any(p.delta_override is not None for p in cfg.policies)
 
 
 def test_parse_instance_specs():
@@ -76,7 +136,7 @@ def test_config_ini_round_trip():
         horizons=[100],
     )
     assert cli.config_from_ini(cli.config_to_ini(odd_eps_cfg)) == odd_eps_cfg
-    delta_beside_cfg = cli.ExperimentConfig(  # the INI delta reaches constspace only
+    delta_beside_cfg = cli.ExperimentConfig(  # a delta on constspace beside policies without one
         policies=[
             PolicyConfig("constspace", delta_override=0.01),
             PolicyConfig("doubling"),
@@ -90,14 +150,16 @@ def test_config_ini_round_trip():
 def test_run_writes_json_for_delta_beside_other_policies(tmp_path):
     config = tmp_path / "delta.ini"
     config.write_text(
-        "[policy]\nnames = constspace, doubling\ndelta = 0.01\n"
+        "[policy]\nnames = constspace@0.01, doubling\n"
         "[instance]\nname = custom\nmeans = 0.9, 0.6\n"
         "[grid]\nT = 300\nseeds = 1\n"
     )
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
     text = (out / "results.json").read_text()
-    assert [rep.policy for rep in cli.reports_from_json(text)] == ["constspace", "doubling"]
+    reports = cli.reports_from_json(text)
+    assert [rep.policy for rep in reports] == ["constspace", "doubling"]
+    assert [rep.schedule for rep in reports] == ["geometric@0.01", "geometric"]
     saved = cli.config_from_ini(json.loads(text)["config"])
     assert [p.delta_override for p in saved.policies] == [0.01, None]
 
@@ -106,50 +168,35 @@ def test_run_writes_json_for_delta_beside_other_policies(tmp_path):
 def test_config_rejects_delta_without_constspace_policy(tmp_path, capsys, names):
     config = tmp_path / "delta.ini"
     config.write_text(
-        f"[policy]\nnames = {names}\ndelta = 0.01\n"
+        f"[policy]\nnames = {', '.join(name + '@0.01' for name in names.split(', '))}\n"
         "[instance]\nname = custom\nmeans = 0.9, 0.6\n"
         "[grid]\nT = 300\nseeds = 1\n"
     )
     assert cli.main(["verify", "--config", str(config)]) == 2
-    assert "policy.delta: applies to constspace policies only" in capsys.readouterr().err
+    assert "policy.names: delta applies to constspace only" in capsys.readouterr().err
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
-    assert "policy.delta: applies to constspace policies only" in capsys.readouterr().err
+    assert "policy.names: delta applies to constspace only" in capsys.readouterr().err
     assert not out.exists()
 
 
-_DELTA_CONFIG = (
-    "[policy]\nnames = constspace\ndelta = 0.01\n"
-    "[instance]\nname = custom\nmeans = 0.9, 0.6\n"
-    "[grid]\nT = 300\nseeds = 1\n"
-)
-
-
-@pytest.mark.parametrize(
-    "flag,expected",
-    [("constspace", [0.01]), ("constspace-polylog(0.5), ucb1", [0.01, None]), ("doubling, constspace", [None, 0.01])],
-)
-def test_policy_flag_keeps_config_delta(tmp_path, flag, expected):
+def test_policy_flag_replaces_config_policies_with_their_delta(tmp_path, capsys):
+    body = "[instance]\nname = custom\nmeans = 0.9, 0.6\n[grid]\nT = 300\nseeds = 1\n"
     config = tmp_path / "delta.ini"
-    config.write_text(_DELTA_CONFIG)
+    config.write_text("[policy]\nnames = constspace@0.01\n" + body)
     out = tmp_path / "out"
-    assert cli.main(["run", "--config", str(config), "--policy", flag, "--out", str(out)]) == 0
-    saved = cli.config_from_ini(json.loads((out / "results.json").read_text())["config"])
-    assert [p.delta_override for p in saved.policies] == expected
-    assert [cli.policy_spec_string(p) for p in saved.policies] == [
-        cli.policy_spec_string(cli.parse_policy_spec(name)) for name in flag.split(",")
-    ]
-
-
-@pytest.mark.parametrize("flag", ["ucb1", "doubling", "doubling,ucb1"])
-def test_policy_flag_without_constspace_rejects_config_delta(tmp_path, capsys, flag):
-    config = tmp_path / "delta.ini"
-    config.write_text(_DELTA_CONFIG)
-    assert cli.main(["verify", "--config", str(config), "--policy", flag]) == 2
-    assert "policy.delta: applies to constspace policies only" in capsys.readouterr().err
-    out = tmp_path / "out"
-    assert cli.main(["run", "--config", str(config), "--policy", flag, "--out", str(out)]) == 2
-    assert "policy.delta: applies to constspace policies only" in capsys.readouterr().err
+    assert cli.main(["run", "--config", str(config), "--policy", "constspace", "--out", str(out)]) == 0
+    text = (out / "results.json").read_text()
+    assert cli.config_from_ini(json.loads(text)["config"]).policies == [PolicyConfig("constspace")]
+    assert [rep.schedule for rep in cli.reports_from_json(text)] == ["geometric"]
+    capsys.readouterr()
+    old_key = tmp_path / "old.ini"  # delta belongs to the spec, so a [policy] delta key is unknown
+    old_key.write_text("[policy]\nnames = constspace\ndelta = 0.01\n" + body)
+    assert cli.main(["verify", "--config", str(old_key)]) == 2
+    assert "config error: policy.delta: unknown key" in capsys.readouterr().err
+    out = tmp_path / "old_out"
+    assert cli.main(["run", "--config", str(old_key), "--policy", "constspace", "--out", str(out)]) == 2
+    assert "config error: policy.delta: unknown key" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -174,15 +221,15 @@ def test_memaudit_rejects_empty_policy_list(tmp_path, capsys):
 def test_config_rejects_delta_outside_unit_interval(tmp_path, capsys, delta):
     config = tmp_path / "delta.ini"
     config.write_text(
-        f"[policy]\nnames = constspace\ndelta = {delta}\n"
+        f"[policy]\nnames = constspace@{delta}\n"
         "[instance]\nname = custom\nmeans = 0.9, 0.6\n"
         "[grid]\nT = 300\nseeds = 1\n"
     )
     assert cli.main(["verify", "--config", str(config)]) == 2
-    assert "policy.delta: must lie in (0, 1)" in capsys.readouterr().err
+    assert "policy.names: delta must lie in (0, 1)" in capsys.readouterr().err
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
-    assert "policy.delta: must lie in (0, 1)" in capsys.readouterr().err
+    assert "policy.names: delta must lie in (0, 1)" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -191,7 +238,7 @@ def test_config_rejects_delta_whose_budget_overflows(tmp_path, capsys, command):
     # 1e-310 lies in (0, 1), but 1/delta is inf, so no round budget exists
     config = tmp_path / "delta.ini"
     config.write_text(
-        "[policy]\nnames = constspace\ndelta = 1e-310\n"
+        "[policy]\nnames = constspace@1e-310\n"
         "[instance]\nname = custom\nmeans = 0.9, 0.6\n"
         "[grid]\nT = 300\nseeds = 1\n"
     )
@@ -199,7 +246,7 @@ def test_config_rejects_delta_whose_budget_overflows(tmp_path, capsys, command):
     argv = [command, "--config", str(config)] + (["--out", str(out)] if command == "run" else [])
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
-    assert "policy constspace-geometric at T=300: pull budget overflows" in captured.err
+    assert "policy constspace-geometric@1e-310 at T=300: pull budget overflows" in captured.err
     assert "Traceback" not in captured.err and not out.exists()
 
 
@@ -377,7 +424,7 @@ def test_verify_counts_unclean_episodes_vacuous(tmp_path, capsys):
     # a loose delta leaves some episodes unclean; every check is vacuous on each
     config = tmp_path / "loose.ini"
     config.write_text(
-        "[policy]\nnames = constspace\ndelta = 0.2\n"
+        "[policy]\nnames = constspace@0.2\n"
         "[instance]\nname = custom\nmeans = 0.9, 0.8, 0.5\n"
         "[grid]\nT = 3000, 20000\nseeds = 6\n"
     )
@@ -560,11 +607,11 @@ def test_broken_worker_pool_exits_3(tmp_path, monkeypatch, capsys):
     code = cli.main(argv + ["--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 3
-    assert err == "error: worker pool failed: a child process terminated abruptly\n"
+    assert err == "i/o error: worker pool failed: a child process terminated abruptly\n"
 
 
 # Modules that only reward draws and the worker pool need.
-_HEAVY = ("numpy", "multiprocessing", "concurrent.futures.process")
+_HEAVY = ("numpy", "multiprocessing", "concurrent.futures", "concurrent.futures.process")
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -597,8 +644,13 @@ run_episode(PolicyConfig("constspace"), make_custom([0.9, 0.6], kind={kind!r}), 
         ),
         (_EPISODE.format(kind="point"), set()),
         (_EPISODE.format(kind="bernoulli"), {"numpy"}),  # so the empty sets are not vacuous
+        (
+            "import tempfile\nfrom constbandit import cli\nwith tempfile.TemporaryDirectory() as out:\n"
+            "    assert cli.main(['run', '--jobs', '1', '--T', '100', '--seeds', '1', '--out', out]) == 0",
+            {"numpy"},
+        ),
     ],
-    ids=["import", "bounds", "point-episode", "bernoulli-episode"],
+    ids=["import", "bounds", "point-episode", "bernoulli-episode", "run-jobs-1"],
 )
 def test_numpy_and_pool_load_only_when_used(script, expected):
     assert _heavy_modules_after(script) == expected
