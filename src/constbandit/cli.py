@@ -5,9 +5,9 @@ every field can be overridden by a flag; the CONSTBANDIT_SEED environment
 variable overrides the base seed last. A policy is named by its
 ``PolicyConfig`` spec, which carries its schedule and any fixed delta,
 e.g. ``constspace-geometric@0.01``. Episode k of a cell is seeded
-``base_seed + cell_index * n_seeds + k``, and no other randomness is used
-(no wall-clock entropy anywhere), so a rerun with the same config is
-byte-identical regardless of --jobs.
+``base_seed + cell_index * n_seeds + k`` (``simulator.suite_cells``), and
+no other randomness is used (no wall-clock entropy anywhere), so a rerun
+with the same config is byte-identical regardless of --jobs.
 
 Exit codes: 0 success, 1 assertion failure, 2 config error, 3 I/O or OS error.
 """
@@ -426,20 +426,37 @@ def write_json(reports, path: str, cfg: ExperimentConfig | None = None) -> None:
         fh.write("\n")
 
 
-def print_report_table(reports, out=None) -> None:
-    out = out if out is not None else sys.stdout
-    header = f"{'policy':<12} {'schedule':<14} {'instance':<28} {'T':>9} {'mean':>12} {'std':>10} {'bound':>12} {'words':>6}"
+def print_table(columns, rows, out=None) -> None:
+    """Print a header, a rule and ``rows`` of string cells, each column as wide
+    as its longest cell; ``columns`` pairs titles with ``<`` or ``>``. A short
+    row ends in a note, such as an error, printed unpadded."""
+    widths = [len(title) for title, _ in columns]
+    for row in rows:
+        for i, cell in enumerate(row if len(row) == len(columns) else row[:-1]):
+            widths[i] = max(widths[i], len(cell))
+
+    def line(cells):
+        return " ".join(f"{cell:{align}{width}}" for cell, (_, align), width in zip(cells, columns, widths))
+
+    header = line([title for title, _ in columns])
     print(header, file=out)
     print("-" * len(header), file=out)
+    for row in rows:
+        print(line(row) if len(row) == len(columns) else f"{line(row[:-1])} {row[-1]}", file=out)
+
+
+def print_report_table(reports, out=None) -> None:
+    columns = [("policy", "<"), ("schedule", "<"), ("instance", "<"), ("T", ">"),
+               ("mean", ">"), ("std", ">"), ("bound", ">"), ("words", ">")]
+    rows = []
     for rep in reports:
+        labels = [rep.policy, rep.schedule, rep.instance, str(rep.horizon)]
         if rep.error is not None:
-            print(f"{rep.policy:<12} {rep.schedule:<14} {rep.instance:<28} {rep.horizon:>9} ERROR: {rep.error}", file=out)
-            continue
-        print(
-            f"{rep.policy:<12} {rep.schedule:<14} {rep.instance:<28} {rep.horizon:>9} "
-            f"{rep.mean_regret:>12.3f} {rep.stddev_regret:>10.3f} {rep.bound_value:>12.3f} {rep.state_words:>6}",
-            file=out,
-        )
+            rows.append([*labels, f"ERROR: {rep.error}"])
+        else:
+            stats = (rep.mean_regret, rep.stddev_regret, rep.bound_value)
+            rows.append([*labels, *(f"{x:.3f}" for x in stats), str(rep.state_words)])
+    print_table(columns, rows, out)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -476,7 +493,6 @@ _GRID_EPSILONS = (0.25, 0.5, 1.0)
 def schedule_grid_ok(out=None) -> bool:
     """Deterministic schedule checks: halving counts are exact, poly-log
     counts respect their closed-form cap over the standard grid."""
-    out = out if out is not None else sys.stdout
     ok = True
     cells = 0
     for g0 in _GRID_G0:
@@ -512,29 +528,26 @@ def cmd_verify(args) -> int:
     clean_runs = 0
     episodes = 0
     failures = []
-    # Cells are numbered over the full policy x horizon grid, as in ``run``,
-    # so a round-based cell verifies the seeds ``run`` gives it.
-    for index, (policy, horizon) in enumerate(product(cfg.policies, cfg.horizons)):
+    # Cells are numbered over the full grid, as in ``run``, so a round-based
+    # cell verifies the seeds ``run`` gives it.
+    cells = simulator.suite_cells(cfg.policies, [instance], cfg.horizons, cfg.n_seeds, cfg.base_seed)
+    for _, policy, _, horizon, seeds in cells:
         if policy.name == "ucb1":
             continue
-        for seed in simulator._cell_seeds(cfg.base_seed, index, cfg.n_seeds):
+        for seed in seeds:
             trace = simulator.run_episode(policy, instance, horizon, seed)
             report = simulator.check_lemma_assertions(trace, instance, policy)
             episodes += 1
             clean_runs += 1 if report.clean_event else 0
             for check in report.checks:  # none on an unclean episode
-                if check.passed:
-                    tallies[check.name][0] += 1
-                else:
-                    tallies[check.name][1] += 1
+                tallies[check.name][0 if check.passed else 1] += 1
+                if not check.passed:
                     failures.append(f"{check.name}: {check.detail}")
     print(f"episodes: {episodes}, clean: {clean_runs}")
     vacuous = episodes - clean_runs
+    note = f" ({vacuous} vacuous)" if vacuous else ""
     for name, (passed, failed) in tallies.items():
-        line = f"{name}: {passed}/{passed + failed} pass"
-        if vacuous:
-            line += f" ({vacuous} vacuous)"
-        print(line)
+        print(f"{name}: {passed}/{passed + failed} pass{note}")
     grid_ok = schedule_grid_ok()
     for failure in failures[:10]:
         print(f"FAIL {failure}", file=sys.stderr)
@@ -562,31 +575,26 @@ def cmd_memaudit(args) -> int:
         raise ConfigError("--K: grid must be non-empty, with every K >= 2")
     policies = parse_policy_list(args.policies)
     rows = simulator.memory_audit(policies, grid)
-    print(f"{'policy':<12} {'schedule':<14} {'K':>8} {'reset':>7} {'peak':>7}")
-    for row in rows:
-        print(f"{row.policy:<12} {row.schedule:<14} {row.n_arms:>8} {row.words_at_reset:>7} {row.words_peak:>7}")
+    cells = [[r.policy, r.schedule, str(r.n_arms), str(r.words_at_reset), str(r.words_peak)] for r in rows]
+    print_table([("policy", "<"), ("schedule", "<"), ("K", ">"), ("reset", ">"), ("peak", ">")], cells)
     if args.out:
         try:
             os.makedirs(args.out, exist_ok=True)
             with open(os.path.join(args.out, "memaudit.csv"), "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["policy", "schedule", "K", "words_at_reset", "words_peak"])
-                for row in rows:
-                    writer.writerow([row.policy, row.schedule, row.n_arms, row.words_at_reset, row.words_peak])
+                writer.writerows(cells)
         except OSError as exc:
             print(f"error: cannot write audit table: {exc}", file=sys.stderr)
             return EXIT_IO
-    constant_ok = True
-    for name in {(r.policy, r.schedule) for r in rows}:
-        if name[0] == "ucb1":
-            continue
-        words = {r.words_peak for r in rows if (r.policy, r.schedule) == name} | {
-            r.words_at_reset for r in rows if (r.policy, r.schedule) == name
-        }
-        if len(words) != 1:
-            print(f"FAIL: {name[0]} ({name[1]}) state words vary with K: {sorted(words)}", file=sys.stderr)
-            constant_ok = False
-    return EXIT_OK if constant_ok else EXIT_FAIL
+    words: dict[tuple[str, str], set[int]] = {}  # per round-based policy, over K
+    for r in rows:
+        if r.policy != "ucb1":
+            words.setdefault((r.policy, r.schedule), set()).update((r.words_at_reset, r.words_peak))
+    varying = [(name, counts) for name, counts in words.items() if len(counts) != 1]
+    for (policy, schedule), counts in varying:
+        print(f"FAIL: {policy} ({schedule}) state words vary with K: {sorted(counts)}", file=sys.stderr)
+    return EXIT_FAIL if varying else EXIT_OK
 
 
 def cmd_bounds(args) -> int:

@@ -59,26 +59,25 @@ def run_episode(
     policy itself, or each restart of the doubling wrapper, whose inner
     policy is stepped directly (the wrapper only sequences levels). A level is
     stepped until it commits, and the rest of it is skipped in bulk:
-    exploitation rewards never touch the policy or the pseudo-regret, and
-    ``RewardStream.skip`` leaves the stream where drawing them would, so the
-    trace is step-equivalent.
+    exploitation rewards never touch the policy, and ``RewardStream.skip``
+    leaves the stream where drawing them would, so the trace is
+    step-equivalent.
 
     A level is stepped in arm segments. Each segment selects an arm once,
     then draws and observes it until ``observe`` reports a transition or
-    the level stops; every policy keeps its arm until then (UCB1 reports
-    ARM_DONE when its next arm differs). The pseudo-regret advances per
-    pull. Each pull tests one ``limit``, the nearer of the next checkpoint
-    and the level's stop; the checkpoint and the stop are handled only on
-    a pull that reaches the limit or reports a transition. Pull tallies and
-    the action log are settled once per segment. A round scans each arm
-    once, in index order, so a segment is exactly the arm's pulls in the
-    round: its length is the record's per-arm tally, and ``r_max_observed``
-    is the largest ``r - 1`` over the records. The clean check compares the
-    policy's ``mean_cur`` with its ``radius`` after each explore pull; both
-    are the arm's in the round at that pull (see ``ConstSpacePolicy``), so
-    the harness computes no radius of its own. An unclean episode checks no
-    further pulls. ``action_log`` keeps the arm of every step. UCB1 has no rounds, so its
-    trace reports the clean event and ``r_max_observed`` as None.
+    the level stops (UCB1 reports ARM_DONE when its next arm differs). The
+    per-pull loop keeps no regret state: ``settle`` books each stepped
+    segment and each committed skip once, adding its pulls to the tallies
+    and the action log and recording each checkpoint (t = 1, 2, 4, ... and
+    the horizon) it passes as the pseudo-regret of the tallies at that tick,
+    so the last one equals ``pseudo_regret`` exactly. A round scans each arm
+    once, in index order, so a segment is the arm's pulls in the round: its
+    length is the record's per-arm tally, and ``r_max_observed`` is the
+    largest ``r - 1`` over the records. The clean check compares the
+    policy's ``mean_cur`` with its ``radius`` after each explore pull (see
+    ``ConstSpacePolicy``); an unclean episode checks no further pulls. UCB1
+    has no rounds, so its trace reports the clean event and
+    ``r_max_observed`` as None.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -86,8 +85,6 @@ def run_episode(
     policy = make_policy(policy_config, n_arms, horizon)
     stream = RewardStream(instance, seed)
     draw = stream.draw
-    true_means = instance.means
-    gaps = instance.gaps
 
     actions: list[int] | None = [] if action_log else None
     doubling = isinstance(policy, DoublingPolicy)
@@ -98,10 +95,20 @@ def run_episode(
     pull_counts = [0] * n_arms
     clean = round_based  # UCB1 has no clean event, so it never checks one
 
-    # Regret checkpoints at t = 1, 2, 4, ... and at the horizon.
+    # Regret checkpoints at t = 1, 2, 4, ... and at the horizon, nearest last.
+    ticks = [horizon] + [1 << k for k in reversed(range((horizon - 1).bit_length()))]
     trajectory: list[tuple[int, float]] = []
-    next_cp = 1
-    cum_gap = 0.0
+
+    def settle(arm, start, end):
+        """Book pulls ``start + 1 .. end``, all of ``arm``, and the checkpoints among them."""
+        if actions is not None:
+            actions.extend([arm] * (end - start))
+        while ticks and ticks[-1] <= end:
+            tick = ticks.pop()
+            pull_counts[arm] += tick - start
+            start = tick
+            trajectory.append((tick, math.fsum(n * g for n, g in zip(pull_counts, instance.gaps))))
+        pull_counts[arm] += end - start
 
     t = 0
     for level, current in enumerate(policy.levels() if doubling else (policy,)):
@@ -115,26 +122,17 @@ def run_episode(
         select_arm, observe = current.select_arm, current.observe
         while t < stop:
             arm = select_arm()
-            gap, mu, start = gaps[arm], true_means[arm], t
-            limit = min(stop, next_cp)
+            mu, start = instance.means[arm], t
             while True:
                 report = observe(draw(arm))
                 t += 1
-                cum_gap += gap
                 # a stepping round-based level explores, so the radius is this pull's
                 if clean and abs(current.mean_cur - mu) > current.radius:
                     clean = False
-                if report is not CONTINUE or t == limit:
-                    if t == next_cp:
-                        trajectory.append((t, cum_gap))
-                        next_cp = min(2 * t, horizon)
-                    if report is not CONTINUE or t == stop:
-                        break
-                    limit = min(stop, next_cp)
+                if report is not CONTINUE or t == stop:
+                    break
 
-            pull_counts[arm] += t - start
-            if actions is not None:
-                actions.extend([arm] * (t - start))
+            settle(arm, start, t)
             if round_based:
                 scanned.append(t - start)
                 if type(report) is RoundRecord:
@@ -144,19 +142,9 @@ def run_episode(
                         break
 
         if t < level_end:  # committed: skip the rest of the level
-            remaining = level_end - t
-            arm = current.best
-            stream.skip(arm, remaining)
-            current.advance_exploitation(remaining)
-            pull_counts[arm] += remaining
-            if actions is not None:
-                actions.extend([arm] * remaining)
-            gap_arm, start = gaps[arm], t
-            while t < next_cp <= level_end:
-                t = next_cp
-                trajectory.append((t, cum_gap + gap_arm * (t - start)))
-                next_cp = min(2 * t, horizon)
-            cum_gap += gap_arm * remaining
+            stream.skip(current.best, level_end - t)
+            current.advance_exploitation(level_end - t)
+            settle(current.best, t, level_end)
             t = level_end
 
         if level_log is not None:
@@ -304,9 +292,10 @@ class RegretReport:
     """Aggregated result for one (policy, instance, horizon) cell.
 
     The round statistics (``r_max_mean``, ``clean_event_rate``,
-    ``best_commit_rate``) are NaN for UCB1, which has no rounds, clean
-    event or commitment. A failed cell carries its labels and ``error``;
-    every other field keeps its default.
+    ``best_commit_rate``) and ``bound_value`` are NaN for UCB1: it has no
+    rounds, clean event or commitment, and the bound is the constant-space
+    policy's. A failed cell carries its labels and ``error``; every other
+    field keeps its default.
     """
 
     policy: str
@@ -327,8 +316,14 @@ class RegretReport:
     error: str | None = None
 
 
-def _cell_seeds(base_seed: int, cell_index: int, n_seeds: int) -> list[int]:
-    return [base_seed + cell_index * n_seeds + k for k in range(n_seeds)]
+def suite_cells(policy_configs, instances, horizons, n_seeds: int, base_seed: int = 0) -> list[tuple]:
+    """``(index, policy, instance, horizon, seeds)`` per cell of the grid, in
+    order: the seed rule of ``run`` and ``verify``. Episode k of cell i is
+    seeded ``base_seed + i * n_seeds + k``, whatever the execution order."""
+    return [
+        (index, cfg, inst, horizon, [base_seed + index * n_seeds + k for k in range(n_seeds)])
+        for index, (cfg, inst, horizon) in enumerate(product(policy_configs, instances, horizons))
+    ]
 
 
 def _run_cell(cell):
@@ -344,17 +339,17 @@ def _run_cell(cell):
     try:
         traces = [run_episode(policy_config, instance, horizon, seed) for seed in seeds]
         regrets = [pseudo_regret(tr, instance) for tr in traces]
-        try:
-            bound = regret_bound(instance.gap_profile, horizon, policy_config.schedule)
-        except ValueError:
-            bound = float("nan")
         trajectory_mean = [
             [tick, fmean(tr.trajectory[idx][1] for tr in traces)]
             for idx, (tick, _) in enumerate(traces[0].trajectory)
         ]
         round_stats = {}
-        if traces[0].clean_event is not None:  # UCB1 has no rounds, clean event or commitment
-            round_stats = dict(
+        if traces[0].clean_event is not None:  # UCB1 has no rounds, clean event or commitment, nor this bound
+            try:
+                round_stats["bound_value"] = regret_bound(instance.gap_profile, horizon, policy_config.schedule)
+            except ValueError:
+                pass  # the bound is undefined, so it stays NaN
+            round_stats.update(
                 r_max_mean=fmean(tr.r_max_observed for tr in traces),
                 clean_event_rate=fmean(1.0 if tr.clean_event else 0.0 for tr in traces),
                 best_commit_rate=fmean(1.0 if tr.committed_arm == instance.best else 0.0 for tr in traces),
@@ -364,7 +359,6 @@ def _run_cell(cell):
             regrets=regrets,
             mean_regret=fmean(regrets),
             stddev_regret=stdev(regrets) if len(regrets) > 1 else 0.0,
-            bound_value=bound,
             state_words=traces[0].policy_words,
             trajectory_mean=trajectory_mean,
             **round_stats,
@@ -384,9 +378,8 @@ def run_suite(
 ) -> list[RegretReport]:
     """Full cross-product of cells, each aggregated over its own seed block.
 
-    Episode seeds are ``base_seed + cell_index * n_seeds + k`` so results
-    are independent of execution order and of ``jobs``. The pool never has
-    more workers than cells or cores.
+    Episode seeds follow ``suite_cells``, so results are independent of
+    ``jobs``. The pool never has more workers than cells or cores.
 
     The process pool is imported only when one is built. numpy is imported
     just before, in this process: forked workers inherit it, where each
@@ -397,10 +390,7 @@ def run_suite(
         raise ValueError("policies, instances and horizons must be non-empty")
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
-    cells = []
-    for index, (cfg, inst, horizon) in enumerate(product(policy_configs, instances, horizons)):
-        seeds = _cell_seeds(base_seed, index, n_seeds)
-        cells.append((index, cfg, inst, horizon, seeds))
+    cells = suite_cells(policy_configs, instances, horizons, n_seeds, base_seed)
     workers = min(jobs, len(cells), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor

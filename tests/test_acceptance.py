@@ -63,11 +63,10 @@ def lemma_suite():
     """Per-episode traces of the ``lemma_suite`` preset's single cell."""
     cfg = cli.PRESETS["lemma_suite"]()
     instance = cli.build_instance(cfg)
-    (policy,), (horizon,) = cfg.policies, cfg.horizons
-    traces = [
-        run_episode(policy, instance, horizon, seed, action_log=False)
-        for seed in simulator._cell_seeds(cfg.base_seed, 0, cfg.n_seeds)
-    ]
+    ((_, policy, _, horizon, seeds),) = simulator.suite_cells(
+        cfg.policies, [instance], cfg.horizons, cfg.n_seeds, cfg.base_seed
+    )
+    traces = [run_episode(policy, instance, horizon, seed, action_log=False) for seed in seeds]
     return policy, instance, traces
 
 

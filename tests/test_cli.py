@@ -313,6 +313,43 @@ def test_run_minimal_writes_csv_and_json(tmp_path):
     assert payload["reports"][0]["instance"] == "custom(0.9,0.6)"
 
 
+def test_json_trajectory_ends_at_the_mean_regret(tmp_path):
+    out = tmp_path / "out"
+    argv = ["run", "--policy", "constspace,doubling,ucb1", "--T", "1000", "--seeds", "3", "--out", str(out)]
+    assert cli.main(argv) == 0
+    for report in json.loads((out / "results.json").read_text())["reports"]:
+        assert report["trajectory_mean"][-1] == [1000, report["mean_regret"]], report["policy"]
+
+
+def test_readme_csv_header_is_the_written_one():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (header,) = re.findall(r"^`(policy,schedule,[^`]*)`$", readme, flags=re.MULTILINE)
+    assert header.split(",") == cli.CSV_COLUMNS
+
+
+@pytest.mark.parametrize(
+    "argv,text_columns",
+    [
+        (["run", "--policy", "constspace-polylog(0.5)@0.01,ucb1", "--T", "300", "--seeds", "1"], 3),
+        (["memaudit", "--policies", "constspace-polylog(0.123456789),ucb1", "--K", "2,100000"], 2),
+    ],
+)
+def test_table_columns_line_up_with_the_header(tmp_path, capsys, argv, text_columns):
+    # text columns share the header's left edge and number columns its right edge
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    header, rule, *rows = capsys.readouterr().out.splitlines()
+    assert rule == "-" * len(header) and rows
+
+    def spans(line):
+        return [m.span() for m in re.finditer(r"\S+", line)]
+
+    edges = [start if i < text_columns else end for i, (start, end) in enumerate(spans(header))]
+    for row in rows:
+        cells = spans(row)
+        assert len(cells) == len(edges), row
+        assert [start if i < text_columns else end for i, (start, end) in enumerate(cells)] == edges, row
+
+
 def test_json_round_trip_equals_reports(tmp_path):
     from constbandit import make_custom, run_suite
 
@@ -542,6 +579,19 @@ def test_memaudit_constant_rows(tmp_path, capsys):
     const_rows = [r for r in rows[1:] if r[0] == "constspace"]
     assert {r[3] for r in const_rows} == {"20"}
     assert "ucb1" in out
+
+
+def test_memaudit_fails_a_round_based_policy_whose_words_vary(monkeypatch, capsys):
+    rows = [
+        simulator.MemoryAuditRow("constspace", "geometric", 2, 20, 20),
+        simulator.MemoryAuditRow("constspace", "geometric", 10, 20, 21),
+        simulator.MemoryAuditRow("ucb1", "-", 2, 10, 10),
+        simulator.MemoryAuditRow("ucb1", "-", 10, 26, 26),
+    ]
+    monkeypatch.setattr(simulator, "memory_audit", lambda policies, grid: rows)
+    assert cli.main(["memaudit", "--K", "2,10"]) == 1
+    err = capsys.readouterr().err
+    assert err == "FAIL: constspace (geometric) state words vary with K: [20, 21]\n"
 
 
 def test_bounds_command(capsys):

@@ -162,10 +162,8 @@ def step_driven(cfg, instance, horizon, seed):
     of rounds closed in one level, counted from those records. The clean event:
     on every explore pull, the arm's running mean in the round,
     m_n = (m_{n-1} (n - 1) + reward) / n, stays within sqrt(ln(1/delta) / (2n))
-    of its true mean, with the delta of the pull's level. The pseudo-regret
-    after each pull, summed pull by pull in step order, and the number of
-    pulls stepped before the first exploitation pull (which ``run_episode``
-    skips in bulk). Returns the policy too, for its final state."""
+    of its true mean, with the delta of the pull's level. Returns the policy
+    too, for its final state."""
     policy = make_policy(cfg, instance.n_arms, horizon)
     doubling = isinstance(policy, DoublingPolicy)
     stream = RewardStream(instance, seed)
@@ -175,21 +173,16 @@ def step_driven(cfg, instance, horizon, seed):
     level_steps = 0
     clean = True
     pulls, means = [0] * K, [0.0] * K
-    regret, regret_sums, stepped = 0.0, [], None
-    for step in range(horizon):
+    for _ in range(horizon):
         level = policy.level if doubling else 0
         level_horizon = policy.level_horizon if doubling else horizon
         inner = policy.inner if doubling else policy
         phase = getattr(inner, "phase", None)
         exploring = phase == EXPLORE
-        if phase == EXPLOIT and stepped is None:
-            stepped = step
         arm = policy.select_arm()
         reward = stream.draw(arm)
         report = policy.observe(reward)
         actions.append(arm)
-        regret += instance.gaps[arm]
-        regret_sums.append(regret)
         if exploring:
             n = pulls[arm] + 1
             pulls[arm] = n
@@ -209,9 +202,8 @@ def step_driven(cfg, instance, horizon, seed):
         level_log.append((policy.level, policy.level_horizon, level_steps))
     inner = policy.inner if doubling else policy
     committed = inner.best if getattr(inner, "phase", None) == EXPLOIT else None
-    stepped = horizon if stepped is None else stepped
     most_rounds = max(Counter(rec.level for rec in records).values(), default=0)
-    return actions, committed, records, level_log, clean, regret_sums, stepped, most_rounds, policy
+    return actions, committed, records, level_log, clean, most_rounds, policy
 
 
 def assert_matches_step_driven(cfg, inst, horizon, seed):
@@ -224,9 +216,7 @@ def assert_matches_step_driven(cfg, inst, horizon, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "make_policy", keep_policy)
         trace = run_episode(cfg, inst, horizon, seed, action_log=True)
-    actions, committed, records, level_log, clean, regret_sums, stepped, most_rounds, oracle = (
-        step_driven(cfg, inst, horizon, seed)
-    )
+    actions, committed, records, level_log, clean, most_rounds, oracle = step_driven(cfg, inst, horizon, seed)
     assert trace.action_log == actions
     assert trace.pull_counts == [actions.count(arm) for arm in range(inst.n_arms)]
     assert trace.committed_arm == committed
@@ -244,12 +234,11 @@ def assert_matches_step_driven(cfg, inst, horizon, seed):
         final = (policy.level, policy.level_horizon, policy.t_total)
         assert final == (oracle.level, oracle.level_horizon, oracle.t_total)
         assert policy.t_total == horizon
-    for tick, regret in trace.trajectory:
-        if tick <= stepped:  # every pull so far was stepped: the same sum, bit for bit
-            assert regret == regret_sums[tick - 1], tick
-        else:  # a bulk skip adds gap * pulls in one product
-            expected = math.fsum(inst.gaps[arm] for arm in actions[:tick])
-            assert regret == pytest.approx(expected, abs=1e-9)
+    ticks = sorted({min(2**k, horizon) for k in range(horizon.bit_length() + 1)})
+    assert [tick for tick, _ in trace.trajectory] == ticks
+    for tick, regret in trace.trajectory:  # pseudo_regret of the oracle's pulls so far, bit for bit
+        counts = Counter(actions[:tick])
+        assert regret == math.fsum(counts[arm] * gap for arm, gap in enumerate(inst.gaps)), tick
     return trace
 
 
@@ -478,7 +467,16 @@ def test_trajectory_checkpoints():
     assert ticks == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 5000]
     values = [v for _, v in trace.trajectory]
     assert values == sorted(values)  # regret trajectory is non-decreasing
-    assert values[-1] == pytest.approx(pseudo_regret(trace, inst), rel=1e-9)
+    assert values[-1] == pseudo_regret(trace, inst)
+
+
+@pytest.mark.parametrize("policy", ["constspace", "doubling", "ucb1"])
+def test_last_checkpoint_is_the_pseudo_regret(policy):
+    # a per-pull float sum ended at 50.99999999999987 for constspace here,
+    # where the tallies give 51.00000000000001
+    inst = make_custom([0.9, 0.6])
+    trace = run_episode(PolicyConfig(policy), inst, 1000, 0)
+    assert trace.trajectory[-1] == (1000, pseudo_regret(trace, inst))
 
 
 def test_episode_determinism():
@@ -587,6 +585,7 @@ def test_ucb1_cell_reports_no_round_statistics():
     assert math.isnan(ucb1.r_max_mean)
     assert math.isnan(ucb1.clean_event_rate)
     assert math.isnan(ucb1.best_commit_rate)
+    assert math.isnan(ucb1.bound_value)
     # a round-based cell still reports its rates
     assert const.clean_event_rate == 1.0 and not math.isnan(const.r_max_mean)
     assert 0.0 <= const.best_commit_rate <= 1.0
