@@ -28,20 +28,11 @@ class GapProfile:
         if min(self.gaps) != 0.0:
             raise ValueError("the best arm's own gap must be 0")
 
-    @classmethod
-    def from_means(cls, means) -> "GapProfile":
-        best = max(means)
-        return cls(tuple(best - m for m in means))
-
     @property
     def delta_min(self) -> float | None:
         """Smallest positive gap, or None when every arm is optimal."""
         positive = [g for g in self.gaps if g > 0.0]
         return min(positive) if positive else None
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.delta_min is None
 
 
 def rmax_bound(delta_min: float, schedule: Schedule) -> int:

@@ -4,7 +4,10 @@ Experiment configs live in flat INI files (one section per grid axis) and
 every field can be overridden by a flag; the CONSTBANDIT_SEED environment
 variable overrides the base seed last. A policy is named by its
 ``PolicyConfig`` spec, which carries its schedule and any fixed delta,
-e.g. ``constspace-geometric@0.01``. Episode k of a cell is seeded
+e.g. ``constspace-geometric@0.01``. An instance is an ``[instance]``
+section of text values, read from a file or from a spec such as
+``linear(K=16)``; ``envs`` alone knows the preset names, their keys and
+defaults, and how each key is read. Episode k of a cell is seeded
 ``base_seed + cell_index * n_seeds + k`` (``simulator.suite_cells``), and
 no other randomness is used (no wall-clock entropy anywhere), so a rerun
 with the same config is byte-identical regardless of --jobs.
@@ -21,7 +24,6 @@ import io
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import asdict, dataclass, field
 from itertools import product
@@ -60,9 +62,10 @@ class ConfigError(Exception):
 
 @dataclass
 class ExperimentConfig:
+    """One experiment grid; ``instance`` is the ``[instance]`` section as text."""
+
     policies: list[PolicyConfig]
-    instance_name: str = "custom"
-    instance_params: dict = field(default_factory=lambda: {"means": [0.9, 0.6]})
+    instance: dict[str, str] = field(default_factory=lambda: {"name": "custom", "means": "0.9, 0.6"})
     horizons: list[int] = field(default_factory=lambda: [1000])
     n_seeds: int = 2
     base_seed: int = 0
@@ -108,63 +111,31 @@ def parse_policy_list(text: str) -> list[PolicyConfig]:
     return policies
 
 
-_INSTANCE_PARAM_TYPES = {
-    "K": int,
-    "s": float,
-    "low_gap": float,
-    "high_gap": float,
-    "best_mean": float,
-    "kind": str,
-}
-
-
-def _parse_instance_params(name: str, items) -> dict:
-    params: dict = {}
-    for key, raw in items:
-        key = key.strip()
-        raw = raw.strip()
-        if key == "means":
-            try:
-                params["means"] = [float(x) for x in re.split(r"[|,]", raw) if x.strip()]
-            except ValueError as exc:
-                raise ConfigError(f"instance.means: {exc}") from exc
-        elif key in _INSTANCE_PARAM_TYPES:
-            try:
-                params[key] = _INSTANCE_PARAM_TYPES[key](raw)
-            except ValueError as exc:
-                raise ConfigError(f"instance.{key}: {exc}") from exc
-        else:
-            raise ConfigError(f"instance.{key}: unknown parameter for preset {name!r}")
-    return params
-
-
-def parse_instance_spec(text: str) -> tuple[str, dict]:
-    """Parse e.g. 'linear(K=16)' or 'custom(means=0.9|0.6,kind=point)'."""
-    text = text.strip()
-    m = re.match(r"^(?P<name>[a-z_0-9]+)(?:\((?P<args>.*)\))?$", text)
-    if not m:
-        raise ConfigError(f"instance: cannot parse instance spec {text!r}")
-    name = m.group("name")
-    if name not in envs.PRESET_NAMES:
-        raise ConfigError(f"instance.name: unknown preset {name!r}; choose from {envs.PRESET_NAMES}")
-    args = m.group("args")
-    items = []
-    if args:
-        for part in args.split(","):
-            if not part.strip():
-                continue
-            if "=" not in part:
-                raise ConfigError(f"instance: expected key=value, got {part!r}")
-            key, raw = part.split("=", 1)
-            items.append((key, raw))
-    return name, _parse_instance_params(name, items)
+def parse_instance_spec(text: str) -> dict[str, str]:
+    """``envs.parse_spec``, e.g. 'linear(K=16)' to its ``[instance]`` section,
+    with a malformed spec as a config error; ``build_instance`` checks the rest."""
+    try:
+        return envs.parse_spec(text)
+    except ValueError as exc:
+        raise ConfigError(f"instance: {exc}") from exc
 
 
 def build_instance(cfg: ExperimentConfig) -> envs.BanditInstance:
+    """``envs.build_preset`` on the config's ``[instance]`` section, with an
+    unknown preset or key, or a bad value, as a config error."""
     try:
-        return envs.build_preset(cfg.instance_name, **cfg.instance_params)
+        return envs.build_preset(cfg.instance)
     except ValueError as exc:
         raise ConfigError(f"instance: {exc}") from exc
+
+
+def parse_int_list(text: str, where: str) -> list[int]:
+    """Parse a comma list of integers such as '1000, 10000' (``--T``,
+    ``[grid] T``, ``memaudit --K``); a bad entry is a config error."""
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def check_policies(cfg: ExperimentConfig, instance: envs.BanditInstance) -> None:
@@ -189,7 +160,7 @@ def check_policies(cfg: ExperimentConfig, instance: envs.BanditInstance) -> None
 # -- INI config files ---------------------------------------------------------
 
 def _ini_parser() -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # a '%' in a value is literal
     parser.optionxform = str  # keep T and K case-sensitive
     return parser
 
@@ -197,13 +168,7 @@ def _ini_parser() -> configparser.ConfigParser:
 def config_to_ini(cfg: ExperimentConfig) -> str:
     parser = _ini_parser()
     parser["policy"] = {"names": ", ".join(p.label() for p in cfg.policies)}
-    inst = {"name": cfg.instance_name}
-    for key, value in cfg.instance_params.items():
-        if key == "means":
-            inst["means"] = ", ".join(repr(m) for m in value)
-        else:
-            inst[key] = str(value)
-    parser["instance"] = inst
+    parser["instance"] = cfg.instance
     parser["grid"] = {
         "T": ", ".join(str(T) for T in cfg.horizons),
         "seeds": str(cfg.n_seeds),
@@ -222,43 +187,30 @@ def config_from_ini(text: str, output: bool = True) -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config file: {exc}") from exc
+    known = {"policy": ("names",), "grid": ("T", "seeds", "base_seed")}
+    if output:
+        known["output"] = ("dir", "format", "jobs")
+    for section, keys in known.items():
+        for key in parser[section] if parser.has_section(section) else ():
+            if key not in keys:
+                raise ConfigError(f"{section}.{key}: unknown key")
     cfg = default_config()
-    if parser.has_section("policy"):
-        for key in parser["policy"]:
-            if key != "names":
-                raise ConfigError(f"policy.{key}: unknown key")
-        cfg.policies = parse_policy_list(parser.get("policy", "names", fallback="constspace"))
+    cfg.policies = parse_policy_list(parser.get("policy", "names", fallback="constspace"))
     if parser.has_section("instance"):
-        if not parser.has_option("instance", "name"):
-            raise ConfigError("instance.name: missing instance preset name")
-        cfg.instance_name = parser.get("instance", "name").strip()
-        if cfg.instance_name not in envs.PRESET_NAMES:
-            raise ConfigError(
-                f"instance.name: unknown preset {cfg.instance_name!r}; choose from {envs.PRESET_NAMES}"
-            )
-        items = [(k, v) for k, v in parser["instance"].items() if k != "name"]
-        cfg.instance_params = _parse_instance_params(cfg.instance_name, items)
-    if parser.has_section("grid"):
-        for key in parser["grid"]:
-            if key not in ("T", "seeds", "base_seed"):
-                raise ConfigError(f"grid.{key}: unknown key")
-        try:
-            if parser.has_option("grid", "T"):
-                cfg.horizons = [int(x) for x in parser.get("grid", "T").split(",") if x.strip()]
-            if parser.has_option("grid", "seeds"):
-                cfg.n_seeds = int(parser.get("grid", "seeds"))
-            if parser.has_option("grid", "base_seed"):
-                cfg.base_seed = int(parser.get("grid", "base_seed"))
-        except ValueError as exc:
-            raise ConfigError(f"grid: {exc}") from exc
-    if output and parser.has_section("output"):
-        for key in parser["output"]:
-            if key not in ("dir", "format", "jobs"):
-                raise ConfigError(f"output.{key}: unknown key")
+        cfg.instance = dict(parser["instance"])
+        build_instance(cfg)  # a bad section fails at load, as a bad key elsewhere does
+    if parser.has_option("grid", "T"):
+        cfg.horizons = parse_int_list(parser.get("grid", "T"), "grid.T")
+    try:
+        cfg.n_seeds = parser.getint("grid", "seeds", fallback=cfg.n_seeds)
+        cfg.base_seed = parser.getint("grid", "base_seed", fallback=cfg.base_seed)
+    except ValueError as exc:
+        raise ConfigError(f"grid: {exc}") from exc
+    if output:
         cfg.out_dir = parser.get("output", "dir", fallback=cfg.out_dir)
         cfg.fmt = parser.get("output", "format", fallback=cfg.fmt)
         try:
-            cfg.jobs = int(parser.get("output", "jobs", fallback=str(cfg.jobs)))
+            cfg.jobs = parser.getint("output", "jobs", fallback=cfg.jobs)
         except ValueError as exc:
             raise ConfigError(f"output.jobs: {exc}") from exc
     return cfg
@@ -269,8 +221,7 @@ def config_from_ini(text: str, output: bool = True) -> ExperimentConfig:
 def _preset_log_scaling() -> ExperimentConfig:
     return ExperimentConfig(
         policies=[PolicyConfig("constspace")],
-        instance_name="custom",
-        instance_params={"means": [0.9, 0.6]},
+        instance={"name": "custom", "means": "0.9, 0.6"},
         horizons=[10**3, 10**4, 10**5, 10**6],
         n_seeds=50,
     )
@@ -283,8 +234,7 @@ def _preset_competitive_ratio() -> ExperimentConfig:
             PolicyConfig("constspace", polylog(0.5)),
             PolicyConfig("ucb1"),
         ],
-        instance_name="linear",
-        instance_params={"K": 16},
+        instance={"name": "linear", "K": "16"},
         horizons=[10**5],
         n_seeds=50,
     )
@@ -293,8 +243,7 @@ def _preset_competitive_ratio() -> ExperimentConfig:
 def _preset_doubling_overhead() -> ExperimentConfig:
     return ExperimentConfig(
         policies=[PolicyConfig("doubling"), PolicyConfig("constspace")],
-        instance_name="custom",
-        instance_params={"means": [0.9, 0.6]},
+        instance={"name": "custom", "means": "0.9, 0.6"},
         horizons=[10**4],
         n_seeds=50,
     )
@@ -303,8 +252,7 @@ def _preset_doubling_overhead() -> ExperimentConfig:
 def _preset_lemma_suite() -> ExperimentConfig:
     return ExperimentConfig(
         policies=[PolicyConfig("constspace")],
-        instance_name="custom",
-        instance_params={"means": [0.9, 0.8, 0.5, 0.3]},
+        instance={"name": "custom", "means": "0.9, 0.8, 0.5, 0.3"},
         horizons=[10**5],
         n_seeds=100,
     )
@@ -338,13 +286,10 @@ def resolve_config(args) -> ExperimentConfig:
 
     if getattr(args, "policy", None) is not None:
         cfg.policies = parse_policy_list(args.policy)
-    if getattr(args, "instance", None):
-        cfg.instance_name, cfg.instance_params = parse_instance_spec(args.instance)
-    if getattr(args, "T", None):
-        try:
-            cfg.horizons = [int(x) for x in args.T.split(",") if x.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"--T: {exc}") from exc
+    if getattr(args, "instance", None) is not None:
+        cfg.instance = parse_instance_spec(args.instance)
+    if getattr(args, "T", None) is not None:
+        cfg.horizons = parse_int_list(args.T, "--T")
     if getattr(args, "seeds", None) is not None:
         cfg.n_seeds = args.seeds
     if getattr(args, "base_seed", None) is not None:
@@ -465,11 +410,15 @@ def cmd_run(args) -> int:
     cfg = resolve_config(args)
     instance = build_instance(cfg)
     check_policies(cfg, instance)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)  # before the suite, so a bad --out fails at once
+    except OSError as exc:
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_IO
     reports = simulator.run_suite(
         cfg.policies, [instance], cfg.horizons, cfg.n_seeds, cfg.base_seed, jobs=cfg.jobs
     )
     try:
-        os.makedirs(cfg.out_dir, exist_ok=True)
         if cfg.fmt in ("csv", "both"):
             write_csv(reports, os.path.join(cfg.out_dir, "results.csv"))
         if cfg.fmt in ("json", "both"):
@@ -567,10 +516,7 @@ DEFAULT_AUDIT_POLICIES = (
 
 
 def cmd_memaudit(args) -> int:
-    try:
-        grid = [int(x) for x in args.K.split(",") if x.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"--K: {exc}") from exc
+    grid = parse_int_list(args.K, "--K")
     if not grid or min(grid) < 2:
         raise ConfigError("--K: grid must be non-empty, with every K >= 2")
     policies = parse_policy_list(args.policies)
@@ -598,11 +544,9 @@ def cmd_memaudit(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    name, params = parse_instance_spec(args.instance)
-    try:
-        instance = envs.build_preset(name, **params)
-    except ValueError as exc:
-        raise ConfigError(f"instance: {exc}") from exc
+    cfg = default_config()
+    cfg.instance = parse_instance_spec(args.instance)
+    instance = build_instance(cfg)
     if instance.delta_min is None:
         raise ConfigError("instance: all gaps zero; bounds are undefined")
     try:

@@ -8,6 +8,12 @@ deterministic and lower-variance. Draws are buffered in fixed chunks of
 256, which pins the exact stream for every arm kind; golden-value tests
 freeze the first draws.
 
+Instance presets are named by a spec such as ``linear(K=16)`` or
+``custom(means=0.9|0.6,kind=point)``, or by the same keys in a config
+file's ``[instance]`` section. This module alone knows the presets, their
+keys and defaults, and how each key is read from text: ``parse_spec`` turns
+a spec into its section, and ``build_preset`` builds a section.
+
 numpy is imported when the first bernoulli or beta chunk is drawn, not when
 this module is, so ``import constbandit`` and work that draws no random
 reward (bounds, point-mass episodes) never load it.
@@ -16,12 +22,11 @@ reward (bounds, point-mass episodes) never load it.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .bounds import GapProfile
-
-PRESET_NAMES = ("two_group", "two_group_ex1", "two_group_ex2", "linear", "custom")
 
 _CHUNK = 256
 
@@ -103,11 +108,6 @@ class BanditInstance:
     @property
     def delta_min(self) -> float | None:
         return self.gap_profile.delta_min
-
-    @property
-    def is_degenerate(self) -> bool:
-        """True when several arms share the top mean, leaving no positive gap."""
-        return self.n_arms > 1 and self.gap_profile.is_degenerate
 
 
 class RewardStream:
@@ -256,31 +256,68 @@ def make_two_group(
     return BanditInstance(tuple(arms), label)
 
 
-def build_preset(name: str, **params) -> BanditInstance:
-    """Construct an instance preset addressable by name from the CLI or config."""
-    if name == "custom":
-        unknown = set(params) - {"means", "kind"}
-        if unknown:
-            raise ValueError(f"unknown custom parameter(s): {sorted(unknown)}")
-        if "means" not in params:
-            raise ValueError("custom preset requires 'means'")
-        return make_custom(params["means"], kind=params.get("kind", "bernoulli"))
-    if name == "linear":
-        unknown = set(params) - {"K", "best_mean"}
-        if unknown:
-            raise ValueError(f"unknown linear parameter(s): {sorted(unknown)}")
-        return make_linear_gaps(int(params.get("K", 16)), params.get("best_mean", 1.0))
-    if name in ("two_group", "two_group_ex1", "two_group_ex2"):
-        regime = {"two_group": None, "two_group_ex1": "ex1", "two_group_ex2": "ex2"}[name]
-        defaults = {
-            None: dict(K=8, s=0.5, low_gap=0.1, high_gap=0.5, best_mean=0.9),
-            "ex1": dict(K=16, s=0.75, low_gap=0.02, high_gap=0.5, best_mean=0.9),
-            "ex2": dict(K=50, s=0.08, low_gap=0.05, high_gap=0.5, best_mean=0.9),
-        }[regime]
-        merged = {**defaults, **{k: v for k, v in params.items() if k in defaults}}
-        unknown = set(params) - set(defaults)
-        if unknown:
-            raise ValueError(f"unknown two_group parameter(s): {sorted(unknown)}")
-        merged["K"] = int(merged["K"])
-        return make_two_group(regime=regime, **merged)
-    raise ValueError(f"unknown instance preset {name!r}; choose from {PRESET_NAMES}")
+def _read_means(text: str) -> list[float]:
+    return [float(x) for x in re.split(r"[|,]", text) if x.strip()]
+
+
+# How each instance key is read from text; any other key is a float.
+_READERS = {"means": _read_means, "K": int, "kind": str}
+
+# Each preset's builder and its keys' defaults; a key whose default is None
+# is required.
+_PRESETS = {
+    "two_group": (
+        partial(make_two_group, regime=None),
+        {"K": 8, "s": 0.5, "low_gap": 0.1, "high_gap": 0.5, "best_mean": 0.9},
+    ),
+    "two_group_ex1": (
+        partial(make_two_group, regime="ex1"),
+        {"K": 16, "s": 0.75, "low_gap": 0.02, "high_gap": 0.5, "best_mean": 0.9},
+    ),
+    "two_group_ex2": (
+        partial(make_two_group, regime="ex2"),
+        {"K": 50, "s": 0.08, "low_gap": 0.05, "high_gap": 0.5, "best_mean": 0.9},
+    ),
+    "linear": (make_linear_gaps, {"K": 16, "best_mean": 1.0}),
+    "custom": (make_custom, {"means": None, "kind": "bernoulli"}),
+}
+
+
+def parse_spec(text: str) -> dict[str, str]:
+    """The ``[instance]`` section a spec such as 'linear(K=16)' or
+    'custom(means=0.9|0.6,kind=point)' stands for: ``name`` and each key's text."""
+    m = re.fullmatch(r"(?P<name>[a-z_0-9]+)(?:\((?P<args>.*)\))?", text.strip())
+    if not m:
+        raise ValueError(f"cannot parse instance spec {text!r}")
+    args = {}
+    for part in (m["args"] or "").split(","):
+        if part.strip():
+            key, eq, value = part.partition("=")
+            if not eq:
+                raise ValueError(f"expected key=value, got {part!r}")
+            args[key.strip()] = value.strip()
+    if "name" in args:  # the name comes before the brackets
+        raise ValueError(f"unknown key 'name' for preset {m['name']!r}")
+    return {"name": m["name"], **args}
+
+
+def build_preset(section) -> BanditInstance:
+    """Build the preset an ``[instance]`` section names, given as a mapping or
+    as ``(key, text)`` pairs: ``name`` plus any of that preset's keys."""
+    params = dict(section)
+    name = params.pop("name", "")
+    if name not in _PRESETS:
+        raise ValueError(f"name: unknown preset {name!r}; choose from {tuple(_PRESETS)}")
+    builder, defaults = _PRESETS[name]
+    for key, text in params.items():
+        if key not in defaults:
+            raise ValueError(f"unknown key {key!r} for preset {name!r}")
+        try:
+            params[key] = _READERS.get(key, float)(text)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from exc
+    params = {**defaults, **params}
+    for key, value in params.items():
+        if value is None:
+            raise ValueError(f"preset {name!r} requires {key!r}")
+    return builder(**params)

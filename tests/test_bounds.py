@@ -9,11 +9,9 @@ from constbandit.schedules import ADAPTIVE_RATIO
 
 
 def test_gap_profile_basics():
-    profile = GapProfile.from_means([0.9, 0.5, 0.9])
-    assert profile.gaps == (0.0, pytest.approx(0.4), 0.0)
+    profile = GapProfile((0.0, 0.4, 0.0))
     assert profile.delta_min == pytest.approx(0.4)
-    profile = GapProfile((0.0, 0.0))
-    assert profile.is_degenerate and profile.delta_min is None
+    assert GapProfile((0.0, 0.0)).delta_min is None
     with pytest.raises(ValueError):
         GapProfile((0.1, 0.2))  # nobody at gap 0
     with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import constbandit.cli as cli
+import constbandit.envs as envs
 import constbandit.simulator as simulator
 from constbandit import ADAPTIVE_RATIO, GEOMETRIC, PolicyConfig, polylog
 from constbandit.simulator import LemmaCheck, LemmaReport
@@ -94,24 +95,30 @@ def test_readme_ini_example_names_round_trip():
     assert any(p.delta_override is not None for p in cfg.policies)
 
 
+def _spec_instance(spec):
+    cfg = cli.default_config()
+    cfg.instance = cli.parse_instance_spec(spec)
+    return cli.build_instance(cfg)
+
+
 def test_parse_instance_specs():
-    name, params = cli.parse_instance_spec("linear(K=16)")
-    assert name == "linear" and params == {"K": 16}
-    name, params = cli.parse_instance_spec("custom(means=0.9|0.6,kind=point)")
-    assert name == "custom" and params == {"means": [0.9, 0.6], "kind": "point"}
-    name, params = cli.parse_instance_spec("two_group(K=8,s=0.5,low_gap=0.1,high_gap=0.5)")
-    assert params["s"] == 0.5
-    with pytest.raises(cli.ConfigError):
-        cli.parse_instance_spec("mystery(K=2)")
-    with pytest.raises(cli.ConfigError):
-        cli.parse_instance_spec("linear(frobs=2)")
+    assert cli.parse_instance_spec("linear(K=16)") == {"name": "linear", "K": "16"}
+    assert _spec_instance("linear(K=16)") == envs.make_linear_gaps(16)
+    assert cli.parse_instance_spec("custom(means=0.9|0.6,kind=point)") == {
+        "name": "custom", "means": "0.9|0.6", "kind": "point"
+    }
+    assert _spec_instance("custom(means=0.9|0.6,kind=point)") == envs.make_custom([0.9, 0.6], kind="point")
+    two_group = _spec_instance("two_group(K=8,s=0.5,low_gap=0.1,high_gap=0.5)")
+    assert two_group == envs.make_two_group(8, 0.5, 0.1, 0.5)
+    for spec in ("mystery(K=2)", "linear(frobs=2)", "linear(name=custom)", "linear(K)", "linear(K=16"):
+        with pytest.raises(cli.ConfigError, match="^instance: "):
+            _spec_instance(spec)
 
 
 def test_config_ini_round_trip():
     cfg = cli.ExperimentConfig(
         policies=[PolicyConfig("constspace", polylog(0.5)), PolicyConfig("ucb1")],
-        instance_name="two_group",
-        instance_params={"K": 8, "s": 0.5, "low_gap": 0.1, "high_gap": 0.5},
+        instance={"name": "two_group", "K": "8", "s": "0.5", "low_gap": "0.1", "high_gap": "0.5"},
         horizons=[1000, 5000],
         n_seeds=7,
         base_seed=3,
@@ -123,8 +130,7 @@ def test_config_ini_round_trip():
     assert cli.config_from_ini(text) == cfg
     means_cfg = cli.ExperimentConfig(
         policies=[PolicyConfig("constspace", delta_override=1e-7)],
-        instance_name="custom",
-        instance_params={"means": [0.9, 0.6]},
+        instance={"name": "custom", "means": "0.9, 0.6"},
         horizons=[100],
     )
     assert cli.config_from_ini(cli.config_to_ini(means_cfg)) == means_cfg
@@ -145,6 +151,77 @@ def test_config_ini_round_trip():
         horizons=[100],
     )
     assert cli.config_from_ini(cli.config_to_ini(delta_beside_cfg)) == delta_beside_cfg
+
+
+# Values for each preset's keys, all valid together; a key left out takes its default.
+_PRESET_VALUES = {
+    "custom": {"means": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+               "kind": st.sampled_from(["bernoulli", "point"])},
+    "linear": {"K": st.integers(2, 64), "best_mean": st.floats(0.985, 1.0)},
+    "two_group": {"K": st.sampled_from([8, 10]), "s": st.just(0.5), "low_gap": st.sampled_from([0.1, 0.2]),
+                  "high_gap": st.sampled_from([0.5, 0.6]), "best_mean": st.sampled_from([0.9, 0.95])},
+    "two_group_ex1": {"K": st.sampled_from([16, 20]), "s": st.sampled_from([0.75, 0.8]),
+                      "low_gap": st.sampled_from([0.02, 0.04]), "high_gap": st.just(0.5),
+                      "best_mean": st.sampled_from([0.9, 1.0])},
+    "two_group_ex2": {"K": st.sampled_from([50, 100]), "s": st.just(0.08), "low_gap": st.just(0.05),
+                      "high_gap": st.just(0.5), "best_mean": st.just(0.9)},
+}
+
+
+@st.composite
+def _preset_params(draw):
+    name = draw(st.sampled_from(sorted(_PRESET_VALUES)))
+    values = _PRESET_VALUES[name]
+    keys = draw(st.lists(st.sampled_from(sorted(values)), unique=True))
+    if name == "custom" and "means" not in keys:
+        keys.append("means")  # the one required key
+    return name, {key: draw(values[key]) for key in keys}
+
+
+@given(_preset_params())
+@example(("linear", {}))
+@example(("custom", {"means": [0.9, 0.6], "kind": "point"}))
+def test_instance_spec_and_section_build_the_same_instance(preset):
+    name, params = preset
+
+    def text(value, sep):
+        return sep.join(repr(m) for m in value) if isinstance(value, list) else str(value)
+
+    args = ",".join(f"{key}={text(value, '|')}" for key, value in params.items())
+    spec = f"{name}({args})" if params else name
+    argv = ["run", "--instance", spec, "--out", "unused"]
+    from_spec = cli.resolve_config(cli.build_parser().parse_args(argv))
+    section = "".join(f"{key} = {text(value, ', ')}\n" for key, value in params.items())
+    from_ini = cli.config_from_ini(f"[instance]\nname = {name}\n{section}")
+    assert cli.build_instance(from_spec) == cli.build_instance(from_ini)
+    for cfg in (from_spec, from_ini):
+        assert cli.config_from_ini(cli.config_to_ini(cfg)) == cfg
+
+
+def test_readme_cli_instance_specs_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n\n```bash\n(.*?)```", readme, re.S).group(1)
+    specs = re.findall(r'--instance "([^"]*)"', block)
+    assert len(specs) >= 3
+    for spec in specs:
+        _spec_instance(spec)
+
+
+def test_percent_is_literal_in_config_values(tmp_path, capsys):
+    out = tmp_path / "x%q"
+    assert cli.main(["run", "--T", "100", "--seeds", "1", "--out", str(out)]) == 0
+    saved = cli.config_from_ini(json.loads((out / "results.json").read_text())["config"])
+    assert saved.out_dir == str(out)
+    cfg = cli.config_from_ini("[output]\ndir = results/%(run)s 100%\n")
+    assert cfg.out_dir == "results/%(run)s 100%"
+    assert cli.config_from_ini(cli.config_to_ini(cfg)) == cfg
+    config = tmp_path / "pct.ini"
+    config.write_text("[instance]\nname = custom\nmeans = 0.9%, 0.6\n")
+    capsys.readouterr()
+    assert cli.main(["verify", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: instance: means: could not convert string to float: '0.9%'" in err
+    assert "Traceback" not in err
 
 
 def test_run_writes_json_for_delta_beside_other_policies(tmp_path):
@@ -207,6 +284,16 @@ def test_empty_policy_flag_exits_2(tmp_path, capsys, command, flag):
     extra = ["--out", str(out)] if command == "run" else []
     assert cli.main([command, "--policy", flag, "--T", "100", "--seeds", "1", *extra]) == 2
     assert "policy.names: at least one policy is required" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("flag,message", [("--T", "grid.T: horizons"), ("--instance", "instance: cannot parse")])
+def test_empty_horizon_or_instance_flag_exits_2(tmp_path, capsys, command, flag, message):
+    out = tmp_path / "out"
+    extra = ["--out", str(out)] if command == "run" else []
+    assert cli.main([command, flag, "", "--seeds", "1", *extra]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -285,6 +372,8 @@ def test_config_rejects_unknown_keys():
         cli.config_from_ini("[instance]\nmeans = 0.5\n")  # name missing
     with pytest.raises(cli.ConfigError):
         cli.config_from_ini("[instance]\nname = nosuch\n")
+    with pytest.raises(cli.ConfigError, match="unknown key 'K' for preset 'custom'"):
+        cli.config_from_ini("[instance]\nname = custom\nmeans = 0.5\nK = 3\n")  # at load, not at build
 
 
 def test_run_minimal_writes_csv_and_json(tmp_path):
@@ -632,6 +721,18 @@ def test_unwritable_output_exits_3(tmp_path, capsys):
     code = cli.main(["run", "--T", "100", "--seeds", "1", "--out", str(blocker)])
     assert code == 3
     assert "error" in capsys.readouterr().err
+
+
+def test_unwritable_output_fails_before_the_suite(tmp_path, monkeypatch, capsys):
+    def no_suite(*args, **kwargs):
+        raise AssertionError("run_suite called with an unwritable output directory")
+
+    monkeypatch.setattr(simulator, "run_suite", no_suite)
+    blocker = tmp_path / "blocked"
+    blocker.write_text("a plain file where a parent of the output directory should go")
+    code = cli.main(["run", "--T", "100", "--seeds", "1", "--out", str(blocker / "out")])
+    assert code == 3
+    assert "error: cannot write outputs: " in capsys.readouterr().err
 
 
 class _BrokenPool:

@@ -35,9 +35,9 @@ def test_make_custom():
     assert inst.gaps == (0.0, pytest.approx(0.4))
     assert inst.best == 0
     degenerate = make_custom([0.5, 0.5])
-    assert degenerate.is_degenerate and degenerate.delta_min is None
+    assert degenerate.delta_min is None
     single = make_custom([0.2])
-    assert single.n_arms == 1 and not single.is_degenerate
+    assert single.n_arms == 1 and single.delta_min is None
     with pytest.raises(ValueError):
         make_custom([])
     with pytest.raises(ValueError):
@@ -269,14 +269,18 @@ def test_bernoulli_long_run_mean():
 
 
 def test_build_preset_dispatch():
-    assert build_preset("linear", K=4).label == "linear(K=4)"
-    assert build_preset("custom", means=[0.9, 0.6]).n_arms == 2
-    assert build_preset("two_group").n_arms == 8
-    assert build_preset("two_group_ex1").delta_min == pytest.approx(0.02)
-    assert build_preset("two_group_ex2").n_arms == 50
-    with pytest.raises(ValueError):
-        build_preset("custom")  # means missing
-    with pytest.raises(ValueError):
-        build_preset("mystery")
-    with pytest.raises(ValueError):
-        build_preset("linear", K=4, wings=2)
+    assert build_preset({"name": "linear", "K": "4"}).label == "linear(K=4)"
+    assert build_preset([("name", "custom"), ("means", "0.9, 0.6")]).n_arms == 2
+    assert build_preset({"name": "two_group"}).n_arms == 8
+    assert build_preset({"name": "two_group_ex1"}).delta_min == pytest.approx(0.02)
+    assert build_preset({"name": "two_group_ex2"}).n_arms == 50
+    with pytest.raises(ValueError, match="requires 'means'"):
+        build_preset({"name": "custom"})
+    with pytest.raises(ValueError, match="unknown preset 'mystery'"):
+        build_preset({"name": "mystery"})
+    with pytest.raises(ValueError, match="unknown preset ''"):
+        build_preset({"K": "4"})  # name missing
+    with pytest.raises(ValueError, match="unknown key 'wings'"):
+        build_preset({"name": "linear", "K": "4", "wings": "2"})
+    with pytest.raises(ValueError, match="^K: invalid literal"):
+        build_preset({"name": "linear", "K": "4.0"})
