@@ -181,18 +181,21 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
 
 
 def config_from_ini(text: str, output: bool = True) -> ExperimentConfig:
-    """Config from INI text; ``output=False`` ignores the ``[output]`` section."""
+    """Config from INI text; ``output=False`` ignores the ``[output]`` section.
+    An unknown section, or a ``[DEFAULT]`` with keys, is a config error."""
     parser = _ini_parser()
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config file: {exc}") from exc
-    known = {"policy": ("names",), "grid": ("T", "seeds", "base_seed")}
-    if output:
-        known["output"] = ("dir", "format", "jobs")
-    for section, keys in known.items():
-        for key in parser[section] if parser.has_section(section) else ():
-            if key not in keys:
+    # each section's keys; ``envs.build_preset`` checks the instance's
+    known = {"policy": ("names",), "instance": None, "grid": ("T", "seeds", "base_seed"),
+             "output": ("dir", "format", "jobs") if output else None}
+    for section in (["DEFAULT"] if parser.defaults() else []) + parser.sections():
+        if section not in known:
+            raise ConfigError(f"{section}: unknown section")
+        for key in parser[section] if known[section] else ():
+            if key not in known[section]:
                 raise ConfigError(f"{section}.{key}: unknown key")
     cfg = default_config()
     cfg.policies = parse_policy_list(parser.get("policy", "names", fallback="constspace"))
@@ -349,19 +352,22 @@ def write_csv(reports, path: str) -> None:
 
 
 def reports_to_json(reports, cfg: ExperimentConfig | None = None) -> str:
-    payload = {"reports": [asdict(rep) for rep in reports]}
+    """Strict JSON: a NaN (or infinite) field is written as null."""
+    payload = {"reports": [
+        {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in asdict(rep).items()}
+        for rep in reports
+    ]}
     if cfg is not None:
         payload["config"] = config_to_ini(cfg)
-    return json.dumps(payload, indent=2)
+    return json.dumps(payload, indent=2, allow_nan=False)
 
 
 def reports_from_json(text: str) -> list[simulator.RegretReport]:
-    payload = json.loads(text)
-    reports = []
-    for d in payload["reports"]:
-        d["trajectory_mean"] = [list(pair) for pair in d.get("trajectory_mean", [])]
-        reports.append(simulator.RegretReport(**d))
-    return reports
+    """Inverse of ``reports_to_json``; a null field other than ``error`` reads as NaN."""
+    return [
+        simulator.RegretReport(**{k: math.nan if v is None and k != "error" else v for k, v in d.items()})
+        for d in json.loads(text)["reports"]
+    ]
 
 
 def write_json(reports, path: str, cfg: ExperimentConfig | None = None) -> None:

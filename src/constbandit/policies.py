@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from math import log, sqrt
 
-from .confidence import round_budget
+from .confidence import Rule, round_budget
 from .schedules import GEOMETRIC, Schedule, next_precision
 
 EXPLORE = "explore"
@@ -39,56 +39,33 @@ ROUND_DONE = "round_done"
 COMMITTED = "committed"
 
 
-def default_delta(horizon: int) -> float:
-    """Per-deviation failure probability 1/T^3, clamped to 1/8 for T < 2.
-
-    The clean event needs every per-pull running mean to stay within
-    ``sqrt(ln(1/delta) / 2n)`` of its arm's true mean. By two-sided
-    Hoeffding each such check fails with probability at most 2 delta, and
-    an episode makes at most T checks, so the clean event fails with
-    probability at most 2 T delta. The regret of a failed episode is at
-    most T, so E[regret] <= E[regret | clean] + 2 T^2 delta. At 1/T^3 the
-    failure term is at most 2/T; 1/T^2 would already keep it at most 2
-    while cutting ln(1/delta) from 3 ln T to 2 ln T.
-    """
-    if horizon < 2:
-        return 0.125
-    try:
-        return 1.0 / float(horizon) ** 3
-    except OverflowError:
-        raise OverflowError("horizon too large: T^3 overflows a float") from None
-
-
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Named policy plus its schedule and optional fixed confidence delta.
+    """Named policy plus its schedule and confidence rule.
 
     Written as the spec ``name[-schedule][@delta]``, e.g. ``ucb1`` or
     ``constspace-polylog(0.5)@0.01``; ``label`` and ``parse`` are inverses.
-    Only ``constspace`` takes a delta, since the doubling wrapper sets one
-    per level; without one the policy uses ``default_delta(T)``.
+    ``rule`` is a ``confidence.Rule``, which checks the delta. Only
+    ``constspace`` takes a rule other than the default, since the doubling
+    wrapper uses the default at each level.
     """
 
     name: str
     schedule: Schedule = GEOMETRIC
-    delta_override: float | None = None
+    rule: Rule = Rule()
 
     def __post_init__(self):
         if self.name not in ("constspace", "doubling", "ucb1"):
             raise ValueError(f"unknown policy {self.name!r}")
         if self.name == "ucb1" and self.schedule != GEOMETRIC:
             raise ValueError("ucb1 takes no schedule")
-        delta = self.delta_override
-        if delta is not None and self.name != "constspace":
+        if self.rule != Rule() and self.name != "constspace":
             raise ValueError(f"delta applies to constspace only, not {self.name}")
-        if delta is not None and not 0.0 < delta < 1.0:  # also rejects nan
-            raise ValueError("delta must lie in (0, 1)")
 
     def schedule_label(self) -> str:
         """The CSV ``schedule`` column: the schedule's label, ``-`` for UCB1,
-        then ``@delta`` only when a delta is set."""
-        label = "-" if self.name == "ucb1" else self.schedule.label()
-        return label if self.delta_override is None else f"{label}@{self.delta_override!r}"
+        then the rule's ``@delta``, if any."""
+        return ("-" if self.name == "ucb1" else self.schedule.label()) + self.rule.label()
 
     def label(self) -> str:
         """Spec string; ``parse`` gives the config back."""
@@ -105,7 +82,7 @@ class PolicyConfig:
         if name == "ucb1" and schedule is not None:
             raise ValueError("ucb1 takes no schedule")
         schedule = GEOMETRIC if schedule is None else Schedule.parse(schedule)
-        return cls(name, schedule, None if delta is None else float(delta))
+        return cls(name, schedule, Rule() if delta is None else Rule(float(delta)))
 
 
 @dataclass(frozen=True)
@@ -168,6 +145,9 @@ class ConstSpacePolicy:
     separated by more than ``g`` (or the horizon ran out), otherwise it
     shrinks ``g`` per its schedule and rescans.
 
+    ``rule`` (a ``confidence.Rule``) sets the ``delta`` register from the
+    horizon; each round's budget is sized from ``log_inv_delta = ln(1/delta)``.
+
     With a single arm there is nothing to compare; the policy commits to
     arm 0 at construction.
 
@@ -188,8 +168,8 @@ class ConstSpacePolicy:
     """
 
     # Mutable scalar registers retained between steps. Configuration
-    # (n_arms, schedule) counts as input, not estimator state.
-    CONFIG = ("n_arms", "schedule")
+    # (n_arms, schedule, rule) counts as input, not estimator state.
+    CONFIG = ("n_arms", "schedule", "rule")
     REGISTERS = (
         "phase",
         "r",
@@ -214,29 +194,22 @@ class ConstSpacePolicy:
     )
     __slots__ = REGISTERS + CONFIG
 
-    def __init__(
-        self,
-        n_arms: int,
-        horizon: int,
-        schedule: Schedule = GEOMETRIC,
-        delta: float | None = None,
-    ):
+    def __init__(self, n_arms: int, horizon: int, schedule: Schedule = GEOMETRIC, rule: Rule = Rule()):
         if n_arms < 1:
             raise ValueError("n_arms must be >= 1")
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if delta is not None and not 0.0 < delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
         self.n_arms = n_arms
         self.schedule = schedule
+        self.rule = rule
         self.horizon = horizon
-        self.delta = default_delta(horizon) if delta is None else delta
+        self.delta = rule.delta_for(horizon)
         self.log_inv_delta = math.log(1.0 / self.delta)
         self.t = 0
         self.r = 1
         self.g = 0.5
         self.g_prev = 0.5  # placeholder; round 1 has no previous half-width
-        self.budget = round_budget(self.g, self.delta)
+        self.budget = round_budget(self.g, self.log_inv_delta)
         self.scan_arm = 0
         self.n = 0
         self.mean_cur = 0.0
@@ -325,7 +298,7 @@ class ConstSpacePolicy:
             fraction = max(self.survivors, 1) / self.n_arms
         self.g_prev = self.g
         self.g = next_precision(self.g, self.schedule, survivor_fraction=fraction)
-        self.budget = round_budget(self.g, self.delta)
+        self.budget = round_budget(self.g, self.log_inv_delta)
         self.r += 1
         self.scan_arm = 0
         self.n = 0
@@ -354,8 +327,9 @@ class ConstSpacePolicy:
 class DoublingPolicy:
     """Anytime wrapper: restarts the constant-space policy with squared horizons.
 
-    Level l runs the inner policy for exactly T_l steps with a fresh
-    delta = 1/T_l^3, starting from T_0 = 10 and squaring, so T_l = 10^(2^l).
+    Level l runs the inner policy for exactly T_l steps under the default
+    ``Rule()``, so with a fresh ``inner.delta`` = 1/T_l^3, starting from
+    T_0 = 10 and squaring, so T_l = 10^(2^l).
     """
 
     INITIAL_HORIZON = 10
@@ -375,10 +349,6 @@ class DoublingPolicy:
         self.level_horizon = self.INITIAL_HORIZON
         self.t_total = 0
         self.inner = ConstSpacePolicy(n_arms, self.level_horizon, schedule)
-
-    @property
-    def delta(self) -> float:
-        return self.inner.delta
 
     @classmethod
     def level_horizons(cls, horizon: int):
@@ -531,9 +501,9 @@ class Ucb1Policy:
 
 def make_policy(config: PolicyConfig, n_arms: int, horizon: int):
     """Fresh policy state for an episode of ``horizon`` steps; only the
-    constant-space policy is told the horizon and the config's delta."""
+    constant-space policy is told the horizon and the config's rule."""
     if config.name == "ucb1":
         return Ucb1Policy(n_arms)
     if config.name == "doubling":
         return DoublingPolicy(n_arms, config.schedule)
-    return ConstSpacePolicy(n_arms, horizon, config.schedule, delta=config.delta_override)
+    return ConstSpacePolicy(n_arms, horizon, config.schedule, config.rule)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import constbandit.cli as cli
 import constbandit.envs as envs
 import constbandit.simulator as simulator
-from constbandit import ADAPTIVE_RATIO, GEOMETRIC, PolicyConfig, polylog
+from constbandit import ADAPTIVE_RATIO, GEOMETRIC, PolicyConfig, Rule, polylog
 from constbandit.simulator import LemmaCheck, LemmaReport
 
 
@@ -48,9 +48,9 @@ def test_parse_policy_specs(tmp_path, capsys):
     assert cli.parse_policy_spec("constspace-polylog(0.25)").schedule == polylog(0.25)
     assert cli.parse_policy_spec("constspace-polylog").schedule == polylog(0.5)
     assert cli.parse_policy_spec("doubling-adaptive").schedule.kind == "adaptive"
-    assert cli.parse_policy_spec("constspace@1e-07") == PolicyConfig("constspace", delta_override=1e-07)
+    assert cli.parse_policy_spec("constspace@1e-07") == PolicyConfig("constspace", rule=Rule(1e-07))
     assert cli.parse_policy_spec("constspace-polylog(0.5)@0.01") == PolicyConfig(
-        "constspace", polylog(0.5), 0.01
+        "constspace", polylog(0.5), Rule(0.01)
     )
     out = tmp_path / "out"
     for spec in _BAD_SPECS:
@@ -69,7 +69,7 @@ def _spec_policies():
     for case in product(
         ("constspace", "doubling", "ucb1"),
         (GEOMETRIC, ADAPTIVE_RATIO, polylog(0.5), polylog(0.123456789), polylog(1 / 3)),
-        (None, 0.4, 1e-07, 0.1 + 0.2, 5e-300),
+        (Rule(), Rule(0.4), Rule(1e-07), Rule(0.1 + 0.2), Rule(5e-300)),
     ):
         try:
             yield PolicyConfig(*case)
@@ -78,7 +78,7 @@ def _spec_policies():
 
 
 @given(st.lists(st.sampled_from(list(_spec_policies())), min_size=1, max_size=4))
-@example([PolicyConfig("constspace", delta_override=0.01), PolicyConfig("constspace"), PolicyConfig("doubling")])
+@example([PolicyConfig("constspace", rule=Rule(0.01)), PolicyConfig("constspace"), PolicyConfig("doubling")])
 def test_policy_spec_round_trip(policies):
     for cfg in policies:
         assert PolicyConfig.parse(cfg.label()) == cfg
@@ -92,7 +92,7 @@ def test_readme_ini_example_names_round_trip():
     cfg = cli.config_from_ini(block)
     names = re.search(r"^names = (.*)$", block, re.M).group(1)
     assert [p.label() for p in cfg.policies] == [name.strip() for name in names.split(",")]
-    assert any(p.delta_override is not None for p in cfg.policies)
+    assert any(p.rule != Rule() for p in cfg.policies)
 
 
 def _spec_instance(spec):
@@ -129,7 +129,7 @@ def test_config_ini_round_trip():
     text = cli.config_to_ini(cfg)
     assert cli.config_from_ini(text) == cfg
     means_cfg = cli.ExperimentConfig(
-        policies=[PolicyConfig("constspace", delta_override=1e-7)],
+        policies=[PolicyConfig("constspace", rule=Rule(1e-7))],
         instance={"name": "custom", "means": "0.9, 0.6"},
         horizons=[100],
     )
@@ -144,7 +144,7 @@ def test_config_ini_round_trip():
     assert cli.config_from_ini(cli.config_to_ini(odd_eps_cfg)) == odd_eps_cfg
     delta_beside_cfg = cli.ExperimentConfig(  # a delta on constspace beside policies without one
         policies=[
-            PolicyConfig("constspace", delta_override=0.01),
+            PolicyConfig("constspace", rule=Rule(0.01)),
             PolicyConfig("doubling"),
             PolicyConfig("ucb1"),
         ],
@@ -238,7 +238,7 @@ def test_run_writes_json_for_delta_beside_other_policies(tmp_path):
     assert [rep.policy for rep in reports] == ["constspace", "doubling"]
     assert [rep.schedule for rep in reports] == ["geometric@0.01", "geometric"]
     saved = cli.config_from_ini(json.loads(text)["config"])
-    assert [p.delta_override for p in saved.policies] == [0.01, None]
+    assert [p.rule for p in saved.policies] == [Rule(0.01), Rule()]
 
 
 @pytest.mark.parametrize("names", ["doubling", "ucb1", "doubling, ucb1"])
@@ -448,6 +448,35 @@ def test_json_round_trip_equals_reports(tmp_path):
     assert cli.reports_from_json(text) == reports
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_results_json_is_strict_json_and_reads_back(tmp_path, monkeypatch):
+    # a ucb1 cell has a NaN bound and round statistics, a failed cell NaN
+    # everything; strict JSON has no NaN token, so both are written as null
+    run_episode = simulator.run_episode
+
+    def fail_doubling(policy, *args, **kwargs):
+        if policy.name == "doubling":
+            raise RuntimeError("injected")
+        return run_episode(policy, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "run_episode", fail_doubling)
+    out = tmp_path / "out"
+    argv = ["run", "--policy", "constspace,doubling,ucb1", "--T", "50", "--seeds", "2", "--out", str(out)]
+    assert cli.main(argv) == 1
+    text = (out / "results.json").read_text()
+    const, failed, ucb1 = json.loads(text, parse_constant=_reject_constant)["reports"]
+    assert const["bound_value"] is not None and const["error"] is None
+    assert ucb1["bound_value"] is None and ucb1["r_max_mean"] is None and ucb1["error"] is None
+    assert failed["mean_regret"] is None and failed["error"] == "RuntimeError: injected"
+    cfgs = [PolicyConfig(name) for name in ("constspace", "doubling", "ucb1")]
+    reports = simulator.run_suite(cfgs, [envs.make_custom([0.9, 0.6])], [50], 2)
+    assert repr(cli.reports_from_json(text)) == repr(reports)  # NaN reads back as NaN
+    assert math.isnan(cli.reports_from_json(text)[2].bound_value)
+
+
 def test_csv_floats_use_17_significant_digits(tmp_path):
     out = tmp_path / "out"
     assert cli.main(
@@ -652,6 +681,21 @@ def test_output_section_rejects_unknown_keys(tmp_path, capsys):
     with pytest.raises(cli.ConfigError, match="output.jbos"):
         cli.config_from_ini(config.read_text())
     assert cli.config_from_ini(config.read_text(), output=False).jobs == 1
+
+
+@pytest.mark.parametrize("section", ["gird", "Grid", "DEFAULT", "outptu"])
+def test_config_rejects_unknown_sections(tmp_path, capsys, section):
+    # a misspelt section would drop its keys unread, and [DEFAULT] would
+    # hand its keys to every section
+    config = tmp_path / "typo.ini"
+    config.write_text(f"[instance]\nname = custom\nmeans = 0.9, 0.45\n[{section}]\nT = 100\nseeds = 1\n")
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out", str(out_dir)]) == 2
+    assert f"config error: {section}: unknown section" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert cli.main(["verify", "--config", str(config)]) == 2
+    assert f"config error: {section}: unknown section" in capsys.readouterr().err
+    assert cli.config_from_ini("[DEFAULT]\n[grid]\nT = 100\n").horizons == [100]  # no keys, no harm
 
 
 def test_verify_rejects_ucb1_only(capsys):

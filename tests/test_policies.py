@@ -17,8 +17,8 @@ from constbandit import (
     ROUND_DONE,
     RULED_OUT,
     RoundRecord,
+    Rule,
     Ucb1Policy,
-    default_delta,
     make_policy,
     polylog,
 )
@@ -38,7 +38,7 @@ def feed(policy, rewards_by_arm, until=None):
 
 def test_reset_computes_budget_from_horizon():
     policy = ConstSpacePolicy(10, 1000)
-    assert policy.delta == pytest.approx(1e-9)
+    assert policy.delta == 1e-9
     assert policy.g == 0.5
     # ceil(2 * ln(1e9) / 0.25) = 166 by direct evaluation
     assert policy.budget == math.ceil(2.0 * math.log(1e9) / 0.25) == 166
@@ -57,13 +57,13 @@ def test_reset_validation():
     with pytest.raises(ValueError):
         ConstSpacePolicy(2, 0)
     with pytest.raises(ValueError):
-        ConstSpacePolicy(2, 100, delta=1.0)
+        ConstSpacePolicy(2, 100, rule=Rule(1.0))
     with pytest.raises(ValueError):
         make_policy(PolicyConfig("ucb1"), 0, 10)
 
 
 def test_delta_clamped_for_tiny_horizon():
-    assert default_delta(1) == 0.125
+    assert Rule().delta_for(1) == 0.125
     assert ConstSpacePolicy(2, 1).delta == 0.125
 
 
@@ -152,7 +152,7 @@ def test_two_arm_walk_rule_out_and_commit():
     """
     rewards = {0: 0.9, 1: 0.45}
     policy = ConstSpacePolicy(2, 10**4)
-    assert policy.delta == pytest.approx(1e-12)
+    assert policy.delta == 1e-12
     n1 = policy.budget
     assert n1 == 222
 
@@ -226,7 +226,7 @@ def test_undeclared_attribute_is_rejected():
         wrapper.arm_means = [0.0] * 4
     with pytest.raises(AttributeError):
         Ucb1Policy(4).arm_sums = [0.0] * 4
-    assert set(ConstSpacePolicy.__slots__) == set(ConstSpacePolicy.REGISTERS) | {"n_arms", "schedule"}
+    assert set(ConstSpacePolicy.__slots__) == set(ConstSpacePolicy.REGISTERS) | {"n_arms", "schedule", "rule"}
     own = set(DoublingPolicy.__slots__) - {"n_arms", "schedule", "inner"}
     assert own == {"level", "level_horizon", "t_total"}
     assert wrapper.state_words() - wrapper.inner.state_words() == len(own) == 3
@@ -392,11 +392,11 @@ def test_ucb1_exact_tie_with_rival_runs_the_pass_and_lowest_id_wins():
 def test_doubling_level_schedule():
     policy = DoublingPolicy(2)
     assert policy.level == 0 and policy.level_horizon == 10
-    assert policy.delta == pytest.approx(1e-3)
+    assert policy.inner.delta == 1e-3
     for _ in range(10):
         policy.observe(0.5)
     assert policy.level == 1 and policy.level_horizon == 100
-    assert policy.delta == pytest.approx(1e-6)
+    assert policy.inner.delta == 1e-6
     for _ in range(100):
         policy.observe(0.5)
     assert policy.level == 2 and policy.level_horizon == 10**4
@@ -500,7 +500,7 @@ def _reward_at(centres, noise):
     **_SEGMENT_REWARDS,
 )
 def test_select_arm_holds_between_transitions(n_arms, schedule, delta, horizon, centres, noise):
-    policy = ConstSpacePolicy(n_arms, horizon, schedule, delta=delta)
+    policy = ConstSpacePolicy(n_arms, horizon, schedule, rule=Rule(delta))
     pulls, _ = step_checking_segments(policy, _reward_at(centres, noise), horizon)
     assert policy.t == horizon and pulls <= horizon
 
@@ -526,7 +526,7 @@ def test_doubling_levels_hold_select_arm_between_transitions(
 
 def test_segment_contract_sees_rule_outs_and_commits():
     # the property tests above are vacuous unless scans end in every way
-    policy = ConstSpacePolicy(4, 3000, delta=0.5)
+    policy = ConstSpacePolicy(4, 3000, rule=Rule(0.5))
     pulls, transitions = step_checking_segments(
         policy, _reward_at([0.9, 0.1, 0.5, 0.2], [0.1, -0.1]), 3000
     )
@@ -539,9 +539,9 @@ def test_make_policy_dispatch():
     assert isinstance(make_policy(PolicyConfig("ucb1"), 3, 100), Ucb1Policy)
     assert isinstance(make_policy(PolicyConfig("doubling"), 3, 100), DoublingPolicy)
     assert isinstance(make_policy(PolicyConfig("constspace"), 3, 100), ConstSpacePolicy)
-    policy = make_policy(PolicyConfig("constspace", delta_override=1e-4), 3, 100)
+    policy = make_policy(PolicyConfig("constspace", rule=Rule(1e-4)), 3, 100)
     assert policy.delta == 1e-4
     with pytest.raises(ValueError):
-        make_policy(PolicyConfig("doubling", delta_override=1e-4), 3, 100)
+        make_policy(PolicyConfig("doubling", rule=Rule(1e-4)), 3, 100)
     with pytest.raises(ValueError):
         PolicyConfig("thompson")

@@ -18,6 +18,7 @@ from constbandit import (
     PolicyConfig,
     RewardStream,
     RoundRecord,
+    Rule,
     beta_arm,
     bernoulli,
     check_lemma_assertions,
@@ -32,7 +33,7 @@ from constbandit import (
     run_episode,
     run_suite,
 )
-from constbandit.policies import EXPLOIT, EXPLORE, default_delta
+from constbandit.policies import EXPLOIT, EXPLORE
 from constbandit.simulator import EpisodeTrace, LemmaReport
 
 
@@ -41,7 +42,7 @@ def reference_run(means, horizon, schedule=GEOMETRIC):
     deterministic (point-mass) rewards; control flow independent of the
     package's state machine, used as its oracle."""
     K = len(means)
-    delta = default_delta(horizon)
+    delta = Rule().delta_for(horizon)
     log_inv = math.log(1.0 / delta)
     g = 0.5
     g_prev = 0.5
@@ -143,7 +144,7 @@ def test_checkpoint_transition_and_stop_on_one_pull(horizon):
     # scan ends on checkpoint 8 and the round closes on checkpoint 16. At
     # T = 16 that pull is also the level's stop; at T = 17 the stop and the
     # last checkpoint fall on round 2's first pull instead.
-    cfg = PolicyConfig("constspace", delta_override=0.4)
+    cfg = PolicyConfig("constspace", rule=Rule(0.4))
     trace = assert_matches_step_driven(cfg, make_custom([0.9, 0.6]), horizon, 0)
     assert trace.round_log[0].budget == 8 and trace.round_log[0].pulls == (8, 8)
     expected = [1, 2, 4, 8, 16] + ([17] if horizon == 17 else [])
@@ -258,7 +259,7 @@ def test_clean_check_covers_the_pull_that_ends_an_arm(monkeypatch, last, clean):
         return script[drawn[0] - 1] if arm == 0 else 0.5
 
     monkeypatch.setattr(RewardStream, "draw", scripted_draw)
-    cfg = PolicyConfig("constspace", delta_override=0.5)
+    cfg = PolicyConfig("constspace", rule=Rule(0.5))
     trace = assert_matches_step_driven(cfg, make_custom([0.5, 0.5], kind="point"), 12, 0)
     assert trace.clean_event is clean
     (record,) = trace.round_log
@@ -305,12 +306,12 @@ _RANDOM_ARMS = st.one_of(
     st.builds(point_mass, _RANDOM_MEANS),
 )
 _RANDOM_CONFIGS = st.one_of(
-    # a loose delta override shrinks budgets and makes unclean episodes common
+    # a loose fixed delta shrinks budgets and makes unclean episodes common
     st.builds(
         PolicyConfig,
         st.just("constspace"),
         st.sampled_from([GEOMETRIC, polylog(0.5), polylog(0.25), ADAPTIVE_RATIO]),
-        st.sampled_from([None, 0.05, 0.5, 0.9]),
+        st.sampled_from([Rule(), Rule(0.05), Rule(0.5), Rule(0.9)]),
     ),
     st.builds(
         PolicyConfig, st.just("doubling"), st.sampled_from([GEOMETRIC, polylog(0.5), ADAPTIVE_RATIO])
