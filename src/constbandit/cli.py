@@ -1,16 +1,18 @@
 """Command-line front end: run, verify, memaudit and bounds subcommands.
 
-Experiment configs live in flat INI files (one section per grid axis) and
-every field can be overridden by a flag; the CONSTBANDIT_SEED environment
-variable overrides the base seed last. A policy is named by its
-``PolicyConfig`` spec, which carries its schedule and any fixed delta,
-e.g. ``constspace-geometric@0.01``. An instance is an ``[instance]``
-section of text values, read from a file or from a spec such as
-``linear(K=16)``; ``envs`` alone knows the preset names, their keys and
-defaults, and how each key is read. Episode k of a cell is seeded
-``base_seed + cell_index * n_seeds + k`` (``simulator.suite_cells``), and
-no other randomness is used (no wall-clock entropy anywhere), so a rerun
-with the same config is byte-identical regardless of --jobs.
+An experiment config is a flat INI file (one section per grid axis) or a
+named preset, which is the same sections held in ``PRESETS``. Each flag
+given is written over its ``[section] key`` and the result is read once,
+by ``read_config``; the CONSTBANDIT_SEED environment variable overrides
+the base seed last. A policy is named by its ``PolicyConfig`` spec, which
+carries its schedule and any fixed delta, e.g. ``constspace-geometric@0.01``.
+An instance is an ``[instance]`` section of text values, read from a file
+or from a spec such as ``linear(K=16)``; ``envs`` alone knows the instance
+preset names, their keys and defaults, and how each key is read. Episode k
+of a cell is seeded ``base_seed + cell_index * n_seeds + k``
+(``simulator.suite_cells``), and no other randomness is used (no
+wall-clock entropy anywhere), so a rerun with the same config is
+byte-identical regardless of --jobs.
 
 Exit codes: 0 success, 1 assertion failure, 2 config error, 3 I/O or OS error.
 """
@@ -64,7 +66,7 @@ class ConfigError(Exception):
 class ExperimentConfig:
     """One experiment grid; ``instance`` is the ``[instance]`` section as text."""
 
-    policies: list[PolicyConfig]
+    policies: list[PolicyConfig] = field(default_factory=lambda: [PolicyConfig("constspace")])
     instance: dict[str, str] = field(default_factory=lambda: {"name": "custom", "means": "0.9, 0.6"})
     horizons: list[int] = field(default_factory=lambda: [1000])
     n_seeds: int = 2
@@ -82,14 +84,12 @@ class ExperimentConfig:
             raise ConfigError("grid.seeds: must be >= 1")
         if self.base_seed < 0:
             raise ConfigError("grid.base_seed: must be >= 0")
+        if not self.out_dir:
+            raise ConfigError("output.dir: must not be empty")
         if self.jobs < 1:
             raise ConfigError("output.jobs: must be >= 1")
         if self.fmt not in ("csv", "json", "both"):
             raise ConfigError("output.format: must be csv, json or both")
-
-
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig(policies=[PolicyConfig("constspace")])
 
 
 # -- policy / instance spec strings ------------------------------------------
@@ -130,8 +130,8 @@ def build_instance(cfg: ExperimentConfig) -> envs.BanditInstance:
 
 
 def parse_int_list(text: str, where: str) -> list[int]:
-    """Parse a comma list of integers such as '1000, 10000' (``--T``,
-    ``[grid] T``, ``memaudit --K``); a bad entry is a config error."""
+    """Parse a comma list of integers such as '1000, 10000' (``[grid] T``,
+    which ``--T`` writes, or ``memaudit --K``); a bad entry is a config error."""
     try:
         return [int(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
@@ -159,9 +159,13 @@ def check_policies(cfg: ExperimentConfig, instance: envs.BanditInstance) -> None
 
 # -- INI config files ---------------------------------------------------------
 
-def _ini_parser() -> configparser.ConfigParser:
+def _ini_parser(text: str = "") -> configparser.ConfigParser:
     parser = configparser.ConfigParser(interpolation=None)  # a '%' in a value is literal
     parser.optionxform = str  # keep T and K case-sensitive
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError(f"config file: {exc}") from exc
     return parser
 
 
@@ -181,13 +185,14 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
 
 
 def config_from_ini(text: str, output: bool = True) -> ExperimentConfig:
-    """Config from INI text; ``output=False`` ignores the ``[output]`` section.
-    An unknown section, or a ``[DEFAULT]`` with keys, is a config error."""
-    parser = _ini_parser()
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"config file: {exc}") from exc
+    """Config from INI text; ``output=False`` ignores the ``[output]`` section."""
+    return read_config(_ini_parser(text), output)
+
+
+def read_config(parser: configparser.ConfigParser, output: bool = True) -> ExperimentConfig:
+    """Config from parsed INI sections; a key left out keeps its
+    ``ExperimentConfig`` default. An unknown section, or a ``[DEFAULT]``
+    with keys, is a config error."""
     # each section's keys; ``envs.build_preset`` checks the instance's
     known = {"policy": ("names",), "instance": None, "grid": ("T", "seeds", "base_seed"),
              "output": ("dir", "format", "jobs") if output else None}
@@ -197,8 +202,9 @@ def config_from_ini(text: str, output: bool = True) -> ExperimentConfig:
         for key in parser[section] if known[section] else ():
             if key not in known[section]:
                 raise ConfigError(f"{section}.{key}: unknown key")
-    cfg = default_config()
-    cfg.policies = parse_policy_list(parser.get("policy", "names", fallback="constspace"))
+    cfg = ExperimentConfig()
+    if parser.has_option("policy", "names"):
+        cfg.policies = parse_policy_list(parser.get("policy", "names"))
     if parser.has_section("instance"):
         cfg.instance = dict(parser["instance"])
         build_instance(cfg)  # a bad section fails at load, as a bad key elsewhere does
@@ -219,90 +225,52 @@ def config_from_ini(text: str, output: bool = True) -> ExperimentConfig:
     return cfg
 
 
-# -- presets -----------------------------------------------------------------
+# -- presets and config resolution --------------------------------------------
 
-def _preset_log_scaling() -> ExperimentConfig:
-    return ExperimentConfig(
-        policies=[PolicyConfig("constspace")],
-        instance={"name": "custom", "means": "0.9, 0.6"},
-        horizons=[10**3, 10**4, 10**5, 10**6],
-        n_seeds=50,
-    )
-
-
-def _preset_competitive_ratio() -> ExperimentConfig:
-    return ExperimentConfig(
-        policies=[
-            PolicyConfig("constspace"),
-            PolicyConfig("constspace", polylog(0.5)),
-            PolicyConfig("ucb1"),
-        ],
-        instance={"name": "linear", "K": "16"},
-        horizons=[10**5],
-        n_seeds=50,
-    )
-
-
-def _preset_doubling_overhead() -> ExperimentConfig:
-    return ExperimentConfig(
-        policies=[PolicyConfig("doubling"), PolicyConfig("constspace")],
-        instance={"name": "custom", "means": "0.9, 0.6"},
-        horizons=[10**4],
-        n_seeds=50,
-    )
-
-
-def _preset_lemma_suite() -> ExperimentConfig:
-    return ExperimentConfig(
-        policies=[PolicyConfig("constspace")],
-        instance={"name": "custom", "means": "0.9, 0.8, 0.5, 0.3"},
-        horizons=[10**5],
-        n_seeds=100,
-    )
-
-
+# Each paper experiment as the config-file sections it stands for.
 PRESETS = {
-    "log_scaling": _preset_log_scaling,
-    "competitive_ratio": _preset_competitive_ratio,
-    "doubling_overhead": _preset_doubling_overhead,
-    "lemma_suite": _preset_lemma_suite,
+    "log_scaling": {"policy": {"names": "constspace"},
+                    "instance": {"name": "custom", "means": "0.9, 0.6"},
+                    "grid": {"T": "1000, 10000, 100000, 1000000", "seeds": "50"}},
+    "competitive_ratio": {"policy": {"names": "constspace, constspace-polylog(0.5), ucb1"},
+                          "instance": {"name": "linear", "K": "16"},
+                          "grid": {"T": "100000", "seeds": "50"}},
+    "doubling_overhead": {"policy": {"names": "doubling, constspace"},
+                          "instance": {"name": "custom", "means": "0.9, 0.6"},
+                          "grid": {"T": "10000", "seeds": "50"}},
+    "lemma_suite": {"policy": {"names": "constspace"},
+                    "instance": {"name": "custom", "means": "0.9, 0.8, 0.5, 0.3"},
+                    "grid": {"T": "100000", "seeds": "100"}},
 }
 
+# the ``[section] key`` each flag writes; ``--instance`` replaces ``[instance]``
+FLAG_KEYS = {"policy": ("policy", "names"), "T": ("grid", "T"), "seeds": ("grid", "seeds"),
+             "base_seed": ("grid", "base_seed"), "jobs": ("output", "jobs"), "out": ("output", "dir"),
+             "format": ("output", "format")}
 
-# -- config resolution --------------------------------------------------------
 
 def resolve_config(args) -> ExperimentConfig:
-    """File or preset first, then flags, then the seed environment variable."""
-    if getattr(args, "preset", None):
-        if args.preset not in PRESETS:
-            raise ConfigError(f"preset: unknown preset {args.preset!r}; choose from {sorted(PRESETS)}")
-        cfg = PRESETS[args.preset]()
-    elif getattr(args, "config", None):
+    """The preset's sections or the --config file, each flag given written
+    over its key, all read once by ``read_config``; then the seed
+    environment variable."""
+    text = ""
+    if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"config: cannot read {args.config!r}: {exc}") from exc
-        cfg = config_from_ini(text, output=args.command == "run")  # only run writes files
-    else:
-        cfg = default_config()
-
-    if getattr(args, "policy", None) is not None:
-        cfg.policies = parse_policy_list(args.policy)
-    if getattr(args, "instance", None) is not None:
-        cfg.instance = parse_instance_spec(args.instance)
-    if getattr(args, "T", None) is not None:
-        cfg.horizons = parse_int_list(args.T, "--T")
-    if getattr(args, "seeds", None) is not None:
-        cfg.n_seeds = args.seeds
-    if getattr(args, "base_seed", None) is not None:
-        cfg.base_seed = args.base_seed
-    if getattr(args, "jobs", None) is not None:
-        cfg.jobs = args.jobs
-    if getattr(args, "out", None):
-        cfg.out_dir = args.out
-    if getattr(args, "format", None):
-        cfg.fmt = args.format
+    parser = _ini_parser(text)
+    if args.preset:
+        if args.preset not in PRESETS:
+            raise ConfigError(f"preset: unknown preset {args.preset!r}; choose from {sorted(PRESETS)}")
+        parser.read_dict(PRESETS[args.preset])
+    for flag, (section, key) in FLAG_KEYS.items():
+        if getattr(args, flag, None) is not None:
+            parser.read_dict({section: {key: getattr(args, flag)}})
+    if args.instance is not None:
+        parser["instance"] = parse_instance_spec(args.instance)
+    cfg = read_config(parser, output=args.command == "run")  # only run writes files
 
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None:
@@ -550,9 +518,7 @@ def cmd_memaudit(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    cfg = default_config()
-    cfg.instance = parse_instance_spec(args.instance)
-    instance = build_instance(cfg)
+    instance = build_instance(ExperimentConfig(instance=parse_instance_spec(args.instance)))
     if instance.delta_min is None:
         raise ConfigError("instance: all gaps zero; bounds are undefined")
     try:
@@ -573,8 +539,9 @@ def cmd_bounds(args) -> int:
 # -- entry point ----------------------------------------------------------------
 
 def _add_common_flags(sub):
-    sub.add_argument("--config", help="INI experiment config file")
-    sub.add_argument("--preset", help=f"named preset: {', '.join(sorted(PRESETS))}")
+    source = sub.add_mutually_exclusive_group()
+    source.add_argument("--config", help="INI experiment config file")
+    source.add_argument("--preset", help=f"named preset: {', '.join(sorted(PRESETS))}")
     sub.add_argument("--policy", help="comma list, e.g. constspace-polylog(0.5),ucb1")
     sub.add_argument("--instance", help="instance spec, e.g. linear(K=16) or custom(means=0.9|0.6)")
     sub.add_argument("--T", help="comma list of horizons")

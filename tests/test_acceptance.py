@@ -1,13 +1,13 @@
 """Acceptance gate: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. Each paper experiment is
-defined once, in ``cli.PRESETS``: criteria 5-7 run their preset exactly as
-``constbandit run --preset <name> --jobs 2`` does and read its reports back
-from ``results.json``, and the lemma suite (criteria 3 and 4) replays the
-seeds ``run`` gives the ``lemma_suite`` preset. Criterion 1 audits the
-``memaudit`` defaults and criterion 2 the grid ``verify`` checks. Criteria 5
-and 6 assert the stated desk-scale envelopes literally; see the repository
-notes for their measured behavior.
+defined once, as config sections in ``cli.PRESETS``: criteria 5-7 run their
+preset exactly as ``constbandit run --preset <name> --jobs 2`` does and read
+its reports back from ``results.json``, and the lemma suite (criteria 3 and
+4) replays the seeds ``run`` gives the ``lemma_suite`` preset. Criterion 1
+audits the ``memaudit`` defaults and criterion 2 the grid ``verify`` checks.
+Criteria 5 and 6 assert the stated desk-scale envelopes literally; see the
+repository notes for their measured behavior.
 """
 
 import math
@@ -37,6 +37,13 @@ DOUBLING = PolicyConfig("doubling")
 UCB1 = PolicyConfig("ucb1")
 
 
+def preset_config(name):
+    """The config ``--preset <name>`` resolves to, with the preset's own seeds."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv(cli.ENV_SEED, raising=False)
+        return cli.resolve_config(cli.build_parser().parse_args(["verify", "--preset", name]))
+
+
 @pytest.fixture
 def run_preset(tmp_path, monkeypatch):
     """Reports of ``constbandit run --preset <name>``, read back from its JSON."""
@@ -61,7 +68,7 @@ def diagnosis(rep):
 @pytest.fixture(scope="module")
 def lemma_suite():
     """Per-episode traces of the ``lemma_suite`` preset's single cell."""
-    cfg = cli.PRESETS["lemma_suite"]()
+    cfg = preset_config("lemma_suite")
     instance = cli.build_instance(cfg)
     ((_, policy, _, horizon, seeds),) = simulator.suite_cells(
         cfg.policies, [instance], cfg.horizons, cfg.n_seeds, cfg.base_seed
@@ -156,7 +163,7 @@ def test_acceptance_5_log_horizon_scaling(run_preset):
 
 def test_acceptance_6_competitive_ratio(run_preset):
     start = time.time()
-    instance = cli.build_instance(cli.PRESETS["competitive_ratio"]())
+    instance = cli.build_instance(preset_config("competitive_ratio"))
     assert math.ceil(math.log2(2.0 / instance.delta_min)) == 5  # stated cap is 6
     reports = run_preset("competitive_ratio")
     ucb1 = next(rep for rep in reports if rep.policy == "ucb1")
@@ -186,7 +193,7 @@ def test_acceptance_6_competitive_ratio(run_preset):
 
 def test_acceptance_7_doubling_wrapper(run_preset):
     start = time.time()
-    cfg = cli.PRESETS["doubling_overhead"]()
+    cfg = preset_config("doubling_overhead")
     instance = cli.build_instance(cfg)
     (horizon,) = cfg.horizons
     doubling_policy = next(p for p in cfg.policies if p.name == "doubling")

@@ -96,9 +96,7 @@ def test_readme_ini_example_names_round_trip():
 
 
 def _spec_instance(spec):
-    cfg = cli.default_config()
-    cfg.instance = cli.parse_instance_spec(spec)
-    return cli.build_instance(cfg)
+    return cli.build_instance(cli.ExperimentConfig(instance=cli.parse_instance_spec(spec)))
 
 
 def test_parse_instance_specs():
@@ -868,9 +866,115 @@ def test_memaudit_rejects_small_K(capsys):
     assert "--K" in capsys.readouterr().err
 
 
-def test_presets_resolve():
-    for name in cli.PRESETS:
-        cfg = cli.PRESETS[name]()
-        cfg.validate()
-    scaling = cli.PRESETS["log_scaling"]()
-    assert scaling.horizons == [10**3, 10**4, 10**5, 10**6]
+def _preset_config(name, command="verify"):
+    return cli.resolve_config(cli.build_parser().parse_args([command, "--preset", name]))
+
+
+def _pinned_ini(names, instance, T, seeds):
+    return (
+        f"[policy]\nnames = {names}\n\n[instance]\n{instance}\n"
+        f"[grid]\nT = {T}\nseeds = {seeds}\nbase_seed = 0\n\n"
+        "[output]\ndir = out\nformat = both\njobs = 1\n\n"
+    )
+
+
+# each preset's policy labels, [instance] section, horizons, seeds and written config
+_PRESET_PINS = {
+    "log_scaling": (
+        ["constspace-geometric"], {"name": "custom", "means": "0.9, 0.6"}, [1000, 10000, 100000, 1000000], 50,
+        _pinned_ini("constspace-geometric", "name = custom\nmeans = 0.9, 0.6\n", "1000, 10000, 100000, 1000000", 50),
+    ),
+    "competitive_ratio": (
+        ["constspace-geometric", "constspace-polylog(0.5)", "ucb1"], {"name": "linear", "K": "16"}, [100000], 50,
+        _pinned_ini("constspace-geometric, constspace-polylog(0.5), ucb1", "name = linear\nK = 16\n", "100000", 50),
+    ),
+    "doubling_overhead": (
+        ["doubling-geometric", "constspace-geometric"], {"name": "custom", "means": "0.9, 0.6"}, [10000], 50,
+        _pinned_ini("doubling-geometric, constspace-geometric", "name = custom\nmeans = 0.9, 0.6\n", "10000", 50),
+    ),
+    "lemma_suite": (
+        ["constspace-geometric"], {"name": "custom", "means": "0.9, 0.8, 0.5, 0.3"}, [100000], 100,
+        _pinned_ini("constspace-geometric", "name = custom\nmeans = 0.9, 0.8, 0.5, 0.3\n", "100000", 100),
+    ),
+}
+
+
+def test_presets_resolve(monkeypatch):
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    assert sorted(cli.PRESETS) == sorted(_PRESET_PINS)
+    for (name, (labels, instance, horizons, seeds, ini)), command in product(_PRESET_PINS.items(), ("run", "verify")):
+        cfg = _preset_config(name, command)
+        assert [p.label() for p in cfg.policies] == labels
+        assert (cfg.instance, cfg.horizons, cfg.n_seeds, cfg.base_seed) == (instance, horizons, seeds, 0)
+        assert cli.config_to_ini(cfg) == ini
+
+
+def test_readme_preset_block_is_the_preset(monkeypatch):
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    name, block = re.search(r"`--preset (\w+)` reads:\n\n```ini\n(.*?)```", readme, re.S).groups()
+    assert cli.config_from_ini(block) == _preset_config(name, "run")
+
+
+def test_flags_override_bad_file_values(tmp_path, capsys):
+    config = tmp_path / "bad.ini"
+    config.write_text(
+        "[policy]\nnames = nosuch\n[instance]\nname = mystery\n"
+        "[grid]\nT = abc\nseeds = x\nbase_seed = -1\n"
+        "[output]\ndir =\nformat = xml\njobs = none\n"
+    )
+    out = tmp_path / "out"
+    flags = {
+        "--policy": ("constspace", "policy.names: "),
+        "--instance": ("custom(means=0.9|0.6)", "instance: name: "),
+        "--T": ("100", "grid.T: "),
+        "--seeds": ("1", "grid: "),
+        "--base-seed": ("0", "grid.base_seed: "),
+        "--out": (str(out), "output.dir: "),
+        "--format": ("csv", "output.format: "),
+        "--jobs": ("1", "output.jobs: "),
+    }
+    argv = ["run", "--config", str(config)]
+    assert cli.main([*argv, *(x for flag, (value, _) in flags.items() for x in (flag, value))]) == 0
+    assert [row[4] for row in read_csv(out / "results.csv")] == ["T", "100"]
+    for dropped, (_, message) in flags.items():  # without its flag, each bad value fails under its key
+        rest = [x for flag, (value, _) in flags.items() if flag != dropped for x in (flag, value)]
+        capsys.readouterr()
+        assert cli.main([*argv, *rest]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_gap_too_small_for_the_bounds_exits_2(tmp_path, capsys):
+    with pytest.raises(ValueError, match="2/gap overflows a float"):
+        envs.make_custom([1e-320, 0.0])
+    spec = "custom(means=1e-320|0)"
+    out = tmp_path / "out"
+    for argv in (
+        ["bounds", "--instance", spec, "--T", "50"],
+        ["verify", "--instance", spec, "--T", "50", "--seeds", "1"],
+        ["run", "--instance", spec, "--T", "50", "--seeds", "1", "--out", str(out)],
+    ):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error: instance: smallest positive gap" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_empty_output_dir_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "empty.ini"
+    config.write_text("[grid]\nT = 100\nseeds = 1\n[output]\ndir =\n")
+    for argv in (["run", "--T", "100", "--seeds", "1", "--out", ""], ["run", "--config", str(config)]):
+        assert cli.main(argv) == 2
+        assert "config error: output.dir: must not be empty" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["empty.ini"]
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_preset_and_config_are_exclusive(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "f.ini"
+    config.write_text("[grid]\nT = 100\nseeds = 1\n")
+    assert cli.main([command, "--preset", "lemma_suite", "--config", str(config)]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["f.ini"]
