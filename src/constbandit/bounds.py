@@ -45,8 +45,8 @@ def rmax_bound(delta_min: float, schedule: Schedule) -> int:
     delta_min = 1. The poly-log schedule reaches half-width d/2 in far fewer
     steps than this cap; a grid test pins that soundness margin.
     """
-    if not 0.0 < delta_min <= 1.0:
-        raise ValueError("delta_min must lie in (0, 1]")
+    if not 0.0 < delta_min <= 1.0 or math.isinf(2.0 / delta_min):
+        raise ValueError(f"delta_min must lie in (0, 1] with 2/delta_min a finite float, got {delta_min:g}")
     if schedule.kind == "polylog":
         inner = math.log2(2.0 / delta_min)
         denom = max(1.0, math.log2(inner))

@@ -3,7 +3,7 @@
 An experiment config is a flat INI file (one section per grid axis) or a
 named preset, which is the same sections held in ``PRESETS``. Each flag
 given is written over its ``[section] key`` and the result is read once,
-by ``read_config``; the CONSTBANDIT_SEED environment variable overrides
+by ``config_from_ini``; the CONSTBANDIT_SEED environment variable overrides
 the base seed last. A policy is named by its ``PolicyConfig`` spec, which
 carries its schedule and any fixed delta, e.g. ``constspace-geometric@0.01``.
 An instance is an ``[instance]`` section of text values, read from a file
@@ -142,6 +142,11 @@ def check_policies(cfg: ExperimentConfig, instance: envs.BanditInstance) -> None
     """Build each (policy, horizon) once, and for the doubling wrapper the
     inner policy of every level the horizon reaches, so that a delta or
     horizon a policy cannot use is a config error, not a failed cell."""
+    if instance.delta_min is not None:
+        try:
+            rmax_bound(instance.delta_min, GEOMETRIC)  # a gap the bounds cannot take
+        except ValueError as exc:
+            raise ConfigError(f"instance: {exc}") from exc
     for policy, horizon in product(cfg.policies, cfg.horizons):
         where = f"policy {policy.label()} at T={horizon}"
         try:
@@ -184,15 +189,11 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
     return buf.getvalue()
 
 
-def config_from_ini(text: str, output: bool = True) -> ExperimentConfig:
-    """Config from INI text; ``output=False`` ignores the ``[output]`` section."""
-    return read_config(_ini_parser(text), output)
-
-
-def read_config(parser: configparser.ConfigParser, output: bool = True) -> ExperimentConfig:
-    """Config from parsed INI sections; a key left out keeps its
-    ``ExperimentConfig`` default. An unknown section, or a ``[DEFAULT]``
-    with keys, is a config error."""
+def config_from_ini(source: str | configparser.ConfigParser, output: bool = True) -> ExperimentConfig:
+    """Config from INI text or parsed sections; a key left out keeps its
+    default and ``output=False`` ignores ``[output]``. An unknown section,
+    or a ``[DEFAULT]`` with keys, is a config error."""
+    parser = _ini_parser(source) if isinstance(source, str) else source
     # each section's keys; ``envs.build_preset`` checks the instance's
     known = {"policy": ("names",), "instance": None, "grid": ("T", "seeds", "base_seed"),
              "output": ("dir", "format", "jobs") if output else None}
@@ -251,7 +252,7 @@ FLAG_KEYS = {"policy": ("policy", "names"), "T": ("grid", "T"), "seeds": ("grid"
 
 def resolve_config(args) -> ExperimentConfig:
     """The preset's sections or the --config file, each flag given written
-    over its key, all read once by ``read_config``; then the seed
+    over its key, all read once by ``config_from_ini``; then the seed
     environment variable."""
     text = ""
     if args.config:
@@ -270,7 +271,7 @@ def resolve_config(args) -> ExperimentConfig:
             parser.read_dict({section: {key: getattr(args, flag)}})
     if args.instance is not None:
         parser["instance"] = parse_instance_spec(args.instance)
-    cfg = read_config(parser, output=args.command == "run")  # only run writes files
+    cfg = config_from_ini(parser, output=args.command == "run")  # only run writes files
 
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None:
@@ -527,8 +528,11 @@ def cmd_bounds(args) -> int:
         raise ConfigError(f"--schedule: {exc}") from exc
     if args.T < 2:
         raise ConfigError("--T: horizon must be >= 2")
+    try:
+        cap = rmax_bound(instance.delta_min, schedule)
+    except ValueError as exc:
+        raise ConfigError(f"instance: {exc}") from exc
     bound = regret_bound(instance.gap_profile, args.T, schedule)
-    cap = rmax_bound(instance.delta_min, schedule)
     print(f"instance: {instance.label}  K={instance.n_arms}  delta_min={instance.delta_min:g}")
     print(f"schedule: {schedule.label()}  T={args.T}")
     print(f"regret bound value: {_fmt_float(bound)}")

@@ -37,13 +37,6 @@ DOUBLING = PolicyConfig("doubling")
 UCB1 = PolicyConfig("ucb1")
 
 
-def preset_config(name):
-    """The config ``--preset <name>`` resolves to, with the preset's own seeds."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv(cli.ENV_SEED, raising=False)
-        return cli.resolve_config(cli.build_parser().parse_args(["verify", "--preset", name]))
-
-
 @pytest.fixture
 def run_preset(tmp_path, monkeypatch):
     """Reports of ``constbandit run --preset <name>``, read back from its JSON."""
@@ -66,7 +59,7 @@ def diagnosis(rep):
 
 
 @pytest.fixture(scope="module")
-def lemma_suite():
+def lemma_suite(preset_config):
     """Per-episode traces of the ``lemma_suite`` preset's single cell."""
     cfg = preset_config("lemma_suite")
     instance = cli.build_instance(cfg)
@@ -161,7 +154,7 @@ def test_acceptance_5_log_horizon_scaling(run_preset):
     print(f"ACCEPTANCE 5 PASS: regret/lnT band {band:.2f} <= 3 in {elapsed:.0f}s")
 
 
-def test_acceptance_6_competitive_ratio(run_preset):
+def test_acceptance_6_competitive_ratio(run_preset, preset_config):
     start = time.time()
     instance = cli.build_instance(preset_config("competitive_ratio"))
     assert math.ceil(math.log2(2.0 / instance.delta_min)) == 5  # stated cap is 6
@@ -191,7 +184,7 @@ def test_acceptance_6_competitive_ratio(run_preset):
     print(f"ACCEPTANCE 6 PASS: ratios {geo_ratio:.2f} <= 6 and polylog within 10% in {elapsed:.0f}s")
 
 
-def test_acceptance_7_doubling_wrapper(run_preset):
+def test_acceptance_7_doubling_wrapper(run_preset, preset_config):
     start = time.time()
     cfg = preset_config("doubling_overhead")
     instance = cli.build_instance(cfg)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import constbandit.cli as cli
 import constbandit.envs as envs
 import constbandit.simulator as simulator
-from constbandit import ADAPTIVE_RATIO, GEOMETRIC, PolicyConfig, Rule, polylog
+from constbandit import ADAPTIVE_RATIO, GEOMETRIC, PolicyConfig, Rule, polylog, rmax_bound
 from constbandit.simulator import LemmaCheck, LemmaReport
 
 
@@ -179,6 +179,7 @@ def _preset_params(draw):
 @given(_preset_params())
 @example(("linear", {}))
 @example(("custom", {"means": [0.9, 0.6], "kind": "point"}))
+@example(("custom", {"means": [5e-324, 0.0]}))  # loads; run, verify and bounds reject it later
 def test_instance_spec_and_section_build_the_same_instance(preset):
     name, params = preset
 
@@ -866,10 +867,6 @@ def test_memaudit_rejects_small_K(capsys):
     assert "--K" in capsys.readouterr().err
 
 
-def _preset_config(name, command="verify"):
-    return cli.resolve_config(cli.build_parser().parse_args([command, "--preset", name]))
-
-
 def _pinned_ini(names, instance, T, seeds):
     return (
         f"[policy]\nnames = {names}\n\n[instance]\n{instance}\n"
@@ -899,21 +896,19 @@ _PRESET_PINS = {
 }
 
 
-def test_presets_resolve(monkeypatch):
-    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+def test_presets_resolve(preset_config):
     assert sorted(cli.PRESETS) == sorted(_PRESET_PINS)
     for (name, (labels, instance, horizons, seeds, ini)), command in product(_PRESET_PINS.items(), ("run", "verify")):
-        cfg = _preset_config(name, command)
+        cfg = preset_config(name, command)
         assert [p.label() for p in cfg.policies] == labels
         assert (cfg.instance, cfg.horizons, cfg.n_seeds, cfg.base_seed) == (instance, horizons, seeds, 0)
         assert cli.config_to_ini(cfg) == ini
 
 
-def test_readme_preset_block_is_the_preset(monkeypatch):
-    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+def test_readme_preset_block_is_the_preset(preset_config):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     name, block = re.search(r"`--preset (\w+)` reads:\n\n```ini\n(.*?)```", readme, re.S).groups()
-    assert cli.config_from_ini(block) == _preset_config(name, "run")
+    assert cli.config_from_ini(block) == preset_config(name, "run")
 
 
 def test_flags_override_bad_file_values(tmp_path, capsys):
@@ -945,8 +940,9 @@ def test_flags_override_bad_file_values(tmp_path, capsys):
 
 
 def test_gap_too_small_for_the_bounds_exits_2(tmp_path, capsys):
-    with pytest.raises(ValueError, match="2/gap overflows a float"):
-        envs.make_custom([1e-320, 0.0])
+    assert envs.make_custom([1e-320, 0.0]).delta_min == 1e-320  # the simulator runs it
+    with pytest.raises(ValueError, match="2/delta_min a finite float"):
+        rmax_bound(1e-320, GEOMETRIC)
     spec = "custom(means=1e-320|0)"
     out = tmp_path / "out"
     for argv in (
@@ -956,7 +952,7 @@ def test_gap_too_small_for_the_bounds_exits_2(tmp_path, capsys):
     ):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert "config error: instance: smallest positive gap" in err and "Traceback" not in err
+        assert "config error: instance: delta_min must lie in (0, 1] with 2/delta_min" in err and "Traceback" not in err
     assert not out.exists()
 
 
