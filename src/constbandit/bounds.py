@@ -3,36 +3,17 @@
 These are order expressions evaluated with constant factor 1. Every
 logarithm over a gap ratio is floored at 1 so arms sitting exactly at the
 minimal gap contribute a positive term; the results are scaling
-diagnostics, never asserted as absolute regret ceilings.
+diagnostics, never asserted as absolute regret ceilings. Both functions
+take an instance's plain numbers (``delta_min``, the ``gaps`` tuple), and
+each raises ValueError on an input it cannot take or a result that is not
+a finite float, so a caller never sees an infinite bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .schedules import Schedule
-
-
-@dataclass(frozen=True)
-class GapProfile:
-    """Per-arm gaps to the best mean; at least one arm must sit at gap 0."""
-
-    gaps: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.gaps:
-            raise ValueError("gap profile must be non-empty")
-        if any(g < 0.0 for g in self.gaps):
-            raise ValueError("gaps must be non-negative")
-        if min(self.gaps) != 0.0:
-            raise ValueError("the best arm's own gap must be 0")
-
-    @property
-    def delta_min(self) -> float | None:
-        """Smallest positive gap, or None when every arm is optimal."""
-        positive = [g for g in self.gaps if g > 0.0]
-        return min(positive) if positive else None
 
 
 def rmax_bound(delta_min: float, schedule: Schedule) -> int:
@@ -54,23 +35,30 @@ def rmax_bound(delta_min: float, schedule: Schedule) -> int:
     return math.ceil(math.log2(2.0 / delta_min))
 
 
-def regret_bound(profile: GapProfile, horizon: float, schedule: Schedule) -> float:
-    """Shape of the regret guarantee for the given schedule, constant factor 1.
+def regret_bound(gaps: tuple[float, ...], horizon: float, schedule: Schedule) -> float:
+    """Shape of the regret guarantee for ``gaps`` (``BanditInstance.gaps``,
+    the best arm's own gap 0) and the given schedule, constant factor 1.
 
     Halving (and adaptive, which has no published bound of its own):
     sum over suboptimal arms of (1/gap) * max(1, log2(gap/delta_min)) * ln(T).
     Poly-log with exponent eps uses gamma = 2*eps and the per-arm term
     log2(1/gap)^gamma + log2(gap/delta_min) / (gamma * log2 log2(gap/delta_min)),
-    every log floored at 1.
+    every log floored at 1. A bound past the float range is a ValueError.
     """
+    if not gaps:
+        raise ValueError("gaps must be non-empty")
+    if any(g < 0.0 for g in gaps):
+        raise ValueError("gaps must be non-negative")
+    if min(gaps) != 0.0:
+        raise ValueError("the best arm's own gap must be 0")
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
-    delta_min = profile.delta_min
+    delta_min = min((g for g in gaps if g > 0.0), default=None)
     if delta_min is None:
         raise ValueError("all gaps zero: regret bound undefined")
     log_horizon = math.log(horizon)
     total = 0.0
-    for gap in profile.gaps:
+    for gap in gaps:
         if gap <= 0.0:
             continue
         ratio_log = max(1.0, math.log2(gap / delta_min))
@@ -82,4 +70,7 @@ def regret_bound(profile: GapProfile, horizon: float, schedule: Schedule) -> flo
         else:
             term = ratio_log
         total += term / gap
-    return total * log_horizon
+    bound = total * log_horizon
+    if not math.isfinite(bound):
+        raise ValueError(f"regret bound is not a finite float at delta_min={delta_min:g}, T={horizon:g}")
+    return bound

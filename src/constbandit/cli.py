@@ -2,19 +2,19 @@
 
 An experiment config is a flat INI file (one section per grid axis) or a
 named preset, which is the same sections held in ``PRESETS``. Each flag
-given is written over its ``[section] key`` and the result is read once,
-by ``config_from_ini``; the CONSTBANDIT_SEED environment variable overrides
-the base seed last. A policy is named by its ``PolicyConfig`` spec, which
-carries its schedule and any fixed delta, e.g. ``constspace-geometric@0.01``.
-An instance is an ``[instance]`` section of text values, read from a file
-or from a spec such as ``linear(K=16)``; ``envs`` alone knows the instance
-preset names, their keys and defaults, and how each key is read. Episode k
-of a cell is seeded ``base_seed + cell_index * n_seeds + k``
-(``simulator.suite_cells``), and no other randomness is used (no
-wall-clock entropy anywhere), so a rerun with the same config is
-byte-identical regardless of --jobs.
+given is written over its ``[section] key`` and the result is read once, by
+``config_from_ini``. A policy is named by its ``PolicyConfig`` spec, which
+carries its schedule and any fixed delta, e.g.
+``constspace-geometric@0.01``. An instance is an ``[instance]`` section of
+text values, read from a file or from a spec such as ``linear(K=16)``;
+``envs`` alone knows the instance preset names, their keys and defaults, and
+how each key is read. Episode k of a cell is seeded
+``base_seed + cell_index * n_seeds + k`` (``simulator.suite_cells``), and no
+other randomness is used (no wall-clock entropy anywhere), so a rerun with
+the same config is byte-identical regardless of --jobs.
 
-Exit codes: 0 success, 1 assertion failure, 2 config error, 3 I/O or OS error.
+Exit codes: 0 success, 1 assertion failure, 2 config error (gaps that
+``bounds`` rejects included), 3 I/O or OS error.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
-
-ENV_SEED = "CONSTBANDIT_SEED"
 
 CSV_COLUMNS = [
     "policy",
@@ -252,16 +250,16 @@ FLAG_KEYS = {"policy": ("policy", "names"), "T": ("grid", "T"), "seeds": ("grid"
 
 def resolve_config(args) -> ExperimentConfig:
     """The preset's sections or the --config file, each flag given written
-    over its key, all read once by ``config_from_ini``; then the seed
-    environment variable."""
-    text = ""
+    over its key, all read once by ``config_from_ini``."""
+    parser = _ini_parser()
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
+                parser.read_file(fh)  # a parse error names the file
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config: cannot read {args.config!r}: {exc}") from exc
-    parser = _ini_parser(text)
+        except configparser.Error as exc:
+            raise ConfigError(f"config file: {exc}") from exc
     if args.preset:
         if args.preset not in PRESETS:
             raise ConfigError(f"preset: unknown preset {args.preset!r}; choose from {sorted(PRESETS)}")
@@ -272,13 +270,6 @@ def resolve_config(args) -> ExperimentConfig:
     if args.instance is not None:
         parser["instance"] = parse_instance_spec(args.instance)
     cfg = config_from_ini(parser, output=args.command == "run")  # only run writes files
-
-    env_seed = os.environ.get(ENV_SEED)
-    if env_seed is not None:
-        try:
-            cfg.base_seed = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"{ENV_SEED}: {exc}") from exc
     cfg.validate()
     return cfg
 
@@ -375,7 +366,8 @@ def print_report_table(reports, out=None) -> None:
             rows.append([*labels, f"ERROR: {rep.error}"])
         else:
             stats = (rep.mean_regret, rep.stddev_regret, rep.bound_value)
-            rows.append([*labels, *(f"{x:.3f}" for x in stats), str(rep.state_words)])
+            cells = (f"{x:.3f}" if abs(x) < 1e9 else f"{x:.6g}" for x in stats)
+            rows.append([*labels, *cells, str(rep.state_words)])
     print_table(columns, rows, out)
 
 
@@ -528,11 +520,11 @@ def cmd_bounds(args) -> int:
         raise ConfigError(f"--schedule: {exc}") from exc
     if args.T < 2:
         raise ConfigError("--T: horizon must be >= 2")
-    try:
+    try:  # a gap too small for the cap, or a bound past the float range
         cap = rmax_bound(instance.delta_min, schedule)
+        bound = regret_bound(instance.gaps, args.T, schedule)
     except ValueError as exc:
         raise ConfigError(f"instance: {exc}") from exc
-    bound = regret_bound(instance.gap_profile, args.T, schedule)
     print(f"instance: {instance.label}  K={instance.n_arms}  delta_min={instance.delta_min:g}")
     print(f"schedule: {schedule.label()}  T={args.T}")
     print(f"regret bound value: {_fmt_float(bound)}")

@@ -12,7 +12,9 @@ Instance presets are named by a spec such as ``linear(K=16)`` or
 ``custom(means=0.9|0.6,kind=point)``, or by the same keys in a config
 file's ``[instance]`` section. This module alone knows the presets, their
 keys and defaults, and how each key is read from text: ``parse_spec`` turns
-a spec into its section, and ``build_preset`` builds a section.
+a spec into its section, and ``build_preset`` builds a section. An
+instance gives its ``gaps`` and ``delta_min`` as plain floats, which is all
+``bounds`` reads, so this module imports nothing from it.
 
 numpy is imported when the first bernoulli or beta chunk is drawn, not when
 this module is, so ``import constbandit`` and work that draws no random
@@ -25,8 +27,6 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, partial
-
-from .bounds import GapProfile
 
 _CHUNK = 256
 
@@ -102,12 +102,9 @@ class BanditInstance:
         return tuple(top - m for m in self.means)
 
     @cached_property
-    def gap_profile(self) -> GapProfile:
-        return GapProfile(self.gaps)
-
-    @property
     def delta_min(self) -> float | None:
-        return self.gap_profile.delta_min
+        """Smallest positive gap, or None when every arm is optimal."""
+        return min((g for g in self.gaps if g > 0.0), default=None)
 
 
 class RewardStream:
@@ -186,7 +183,7 @@ class RewardStream:
         self._buffers.setdefault(arm, [None, None, _CHUNK])[2] += n
 
 
-def make_custom(means, kind: str = "bernoulli", label: str = "") -> BanditInstance:
+def make_custom(means, kind: str = "bernoulli") -> BanditInstance:
     """Instance with the given means, one arm each (bernoulli or point mass)."""
     means = list(means)
     if not means:
@@ -197,9 +194,8 @@ def make_custom(means, kind: str = "bernoulli", label: str = "") -> BanditInstan
         if not 0.0 <= m <= 1.0:
             raise ValueError(f"mean {m} outside [0, 1]")
     ctor = bernoulli if kind == "bernoulli" else point_mass
-    if not label:
-        body = ",".join(f"{m:g}" for m in means)
-        label = f"custom({body})" if kind == "bernoulli" else f"custom({body};point)"
+    body = ",".join(f"{m:g}" for m in means)
+    label = f"custom({body})" if kind == "bernoulli" else f"custom({body};point)"
     return BanditInstance(tuple(ctor(m) for m in means), label)
 
 

@@ -294,8 +294,9 @@ class RegretReport:
     The round statistics (``r_max_mean``, ``clean_event_rate``,
     ``best_commit_rate``) and ``bound_value`` are NaN for UCB1: it has no
     rounds, clean event or commitment, and the bound is the constant-space
-    policy's. A failed cell carries its labels and ``error``; every other
-    field keeps its default.
+    policy's. ``bound_value`` is NaN too where ``regret_bound`` raises. A
+    failed cell carries its labels and ``error``; every other field keeps
+    its default.
     """
 
     policy: str
@@ -346,9 +347,9 @@ def _run_cell(cell):
         round_stats = {}
         if traces[0].clean_event is not None:  # UCB1 has no rounds, clean event or commitment, nor this bound
             try:
-                round_stats["bound_value"] = regret_bound(instance.gap_profile, horizon, policy_config.schedule)
+                round_stats["bound_value"] = regret_bound(instance.gaps, horizon, policy_config.schedule)
             except ValueError:
-                pass  # the bound is undefined, so it stays NaN
+                pass  # the bound is undefined or not a finite float, so it stays NaN
             round_stats.update(
                 r_max_mean=fmean(tr.r_max_observed for tr in traces),
                 clean_event_rate=fmean(1.0 if tr.clean_event else 0.0 for tr in traces),

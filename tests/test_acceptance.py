@@ -38,9 +38,8 @@ UCB1 = PolicyConfig("ucb1")
 
 
 @pytest.fixture
-def run_preset(tmp_path, monkeypatch):
+def run_preset(tmp_path):
     """Reports of ``constbandit run --preset <name>``, read back from its JSON."""
-    monkeypatch.delenv(cli.ENV_SEED, raising=False)  # the gate runs the preset's own seeds
 
     def run(name):
         argv = ["run", "--preset", name, "--jobs", "2", "--format", "json", "--out", str(tmp_path)]

@@ -1,23 +1,25 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from constbandit import GEOMETRIC, GapProfile, polylog, regret_bound, rmax_bound
+from constbandit import GEOMETRIC, make_custom, polylog, regret_bound, rmax_bound
 from constbandit.schedules import ADAPTIVE_RATIO
 
 
 def test_gap_profile_basics():
-    profile = GapProfile((0.0, 0.4, 0.0))
-    assert profile.delta_min == pytest.approx(0.4)
-    assert GapProfile((0.0, 0.0)).delta_min is None
-    with pytest.raises(ValueError):
-        GapProfile((0.1, 0.2))  # nobody at gap 0
-    with pytest.raises(ValueError):
-        GapProfile((0.0, -0.1))
-    with pytest.raises(ValueError):
-        GapProfile(())
+    assert make_custom([0.5, 0.1, 0.5]).delta_min == pytest.approx(0.4)
+    assert make_custom([0.5, 0.5]).delta_min is None
+    assert regret_bound((0.0, 0.4, 0.0), 10, GEOMETRIC) == regret_bound((0.0, 0.4), 10, GEOMETRIC)
+    for gaps, message in [
+        ((0.1, 0.2), "best arm's own gap must be 0"),
+        ((0.0, -0.1), "non-negative"),
+        ((), "non-empty"),
+        ((0.0, 0.0), "all gaps zero"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            regret_bound(gaps, 10, GEOMETRIC)
 
 
 def test_rmax_bound_hand_values():
@@ -55,13 +57,13 @@ def test_rmax_caps_cover_schedule_convergence():
 
 
 def test_regret_bound_single_arm_hand_value():
-    profile = GapProfile((0.0, 0.5))
+    profile = (0.0, 0.5)
     # (1/0.5) * max(1, log2(1)) * ln(e) = 2
     assert regret_bound(profile, math.e, GEOMETRIC) == pytest.approx(2.0)
 
 
 def test_regret_bound_separable_in_horizon():
-    profile = GapProfile((0.0, 0.1, 0.4))
+    profile = (0.0, 0.1, 0.4)
     for T in (10, 1000, 10**6):
         ratio = regret_bound(profile, 2 * T, GEOMETRIC) / regret_bound(profile, T, GEOMETRIC)
         assert ratio == pytest.approx(math.log(2 * T) / math.log(T))
@@ -76,7 +78,7 @@ def test_regret_bound_two_group_numeric():
         if gap > 0:
             expected += max(1.0, math.log2(gap / 0.01)) / gap
     expected *= math.log(T)
-    assert regret_bound(GapProfile(gaps), T, GEOMETRIC) == pytest.approx(expected)
+    assert regret_bound(gaps, T, GEOMETRIC) == pytest.approx(expected)
 
 
 def test_regret_bound_polylog_numeric():
@@ -92,14 +94,14 @@ def test_regret_bound_polylog_numeric():
         )
         expected += term / gap
     expected *= math.log(T)
-    assert regret_bound(GapProfile(gaps), T, polylog(eps)) == pytest.approx(expected)
+    assert regret_bound(gaps, T, polylog(eps)) == pytest.approx(expected)
 
 
 def test_regret_bound_rejects_degenerate():
     with pytest.raises(ValueError):
-        regret_bound(GapProfile((0.0, 0.0)), 100, GEOMETRIC)
+        regret_bound((0.0, 0.0), 100, GEOMETRIC)
     with pytest.raises(ValueError):
-        regret_bound(GapProfile((0.0, 0.5)), 1, GEOMETRIC)
+        regret_bound((0.0, 0.5), 1, GEOMETRIC)
 
 
 @given(
@@ -107,7 +109,7 @@ def test_regret_bound_rejects_degenerate():
     st.sampled_from([GEOMETRIC, polylog(0.5)]),
 )
 def test_regret_bound_monotone_in_horizon(gaps, schedule):
-    profile = GapProfile((0.0, *gaps))
+    profile = (0.0, *gaps)
     values = [regret_bound(profile, T, schedule) for T in (10, 100, 10**4, 10**8)]
     assert values == sorted(values)
 
@@ -119,10 +121,27 @@ def test_regret_bound_monotone_in_horizon(gaps, schedule):
 def test_regret_bound_never_drops_when_a_gap_halves(gaps, data):
     # Halving any arm's gap (doubling 1/gap) never decreases the bound,
     # including when the halved arm redefines the minimal gap.
-    profile = GapProfile((0.0, *gaps))
+    profile = (0.0, *gaps)
     idx = data.draw(st.integers(min_value=0, max_value=len(gaps) - 1))
     shrunk = list(gaps)
     shrunk[idx] = shrunk[idx] / 2.0
     before = regret_bound(profile, 10**4, GEOMETRIC)
-    after = regret_bound(GapProfile((0.0, *shrunk)), 10**4, GEOMETRIC)
+    after = regret_bound((0.0, *shrunk), 10**4, GEOMETRIC)
     assert after >= before * (1.0 - 1e-12)
+
+
+@given(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, allow_subnormal=True),
+    st.sampled_from([2, 10**6]),
+    st.sampled_from([GEOMETRIC, polylog(0.5)]),
+)
+@example(1.2e-308, 10**6, GEOMETRIC)  # (1/gap) * ln T passes the float range, 2/gap does not
+@example(5e-324, 2, polylog(0.5))
+@example(1.0, 2, GEOMETRIC)
+def test_regret_bound_is_finite_or_raises(mean, horizon, schedule):
+    try:
+        bound = regret_bound(make_custom([mean, 0.0]).gaps, horizon, schedule)
+    except ValueError as exc:
+        assert "not a finite float" in str(exc)
+    else:
+        assert isinstance(bound, float) and math.isfinite(bound)

@@ -420,10 +420,12 @@ def test_readme_csv_header_is_the_written_one():
     [
         (["run", "--policy", "constspace-polylog(0.5)@0.01,ucb1", "--T", "300", "--seeds", "1"], 3),
         (["memaudit", "--policies", "constspace-polylog(0.123456789),ucb1", "--K", "2,100000"], 2),
+        (["run", "--instance", "custom(means=3e-308|0)", "--T", "50", "--seeds", "1"], 3),  # bound 1.30401e+308
     ],
 )
 def test_table_columns_line_up_with_the_header(tmp_path, capsys, argv, text_columns):
-    # text columns share the header's left edge and number columns its right edge
+    # text columns share the header's left edge and number columns its right edge;
+    # a number is at most as wide as "-999999999.999", the widest .3f cell
     assert cli.main([*argv, "--out", str(tmp_path)]) == 0
     header, rule, *rows = capsys.readouterr().out.splitlines()
     assert rule == "-" * len(header) and rows
@@ -436,6 +438,7 @@ def test_table_columns_line_up_with_the_header(tmp_path, capsys, argv, text_colu
         cells = spans(row)
         assert len(cells) == len(edges), row
         assert [start if i < text_columns else end for i, (start, end) in enumerate(cells)] == edges, row
+        assert all(end - start <= 14 for start, end in cells[text_columns:]), row
 
 
 def test_json_round_trip_equals_reports(tmp_path):
@@ -518,9 +521,8 @@ def test_run_rejects_negative_base_seed(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_verify_rejects_negative_env_seed(monkeypatch, capsys):
-    monkeypatch.setenv(cli.ENV_SEED, "-3")
-    assert cli.main(["verify", "--T", "100", "--seeds", "1"]) == 2
+def test_verify_rejects_negative_base_seed(capsys):
+    assert cli.main(["verify", "--T", "100", "--seeds", "1", "--base-seed", "-1"]) == 2
     assert "grid.base_seed" in capsys.readouterr().err
 
 
@@ -529,20 +531,6 @@ def test_verify_rejects_run_only_flags(flag, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["verify", "--T", "100", "--seeds", "1", *flag]) == 2
     assert not (tmp_path / "x").exists()
-
-
-def test_env_seed_overrides_base_seed(tmp_path, monkeypatch):
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    monkeypatch.setenv(cli.ENV_SEED, "99")
-    assert cli.main(
-        ["run", "--T", "200", "--seeds", "2", "--base-seed", "1", "--out", str(out_a)]
-    ) == 0
-    monkeypatch.delenv(cli.ENV_SEED)
-    assert cli.main(
-        ["run", "--T", "200", "--seeds", "2", "--base-seed", "99", "--out", str(out_b)]
-    ) == 0
-    assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -954,6 +942,48 @@ def test_gap_too_small_for_the_bounds_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "config error: instance: delta_min must lie in (0, 1] with 2/delta_min" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_bound_past_the_float_range_is_not_printed_as_inf(tmp_path, capsys):
+    # 2/gap is a finite float, so the cap and the policies take this gap;
+    # (1/gap) * ln T is not, so bounds refuses it and run writes the bound as NaN
+    spec = "custom(means=1.2e-308|0)"
+    assert cli.main(["bounds", "--instance", spec, "--T", "1000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: instance: regret bound is not a finite float")
+    assert "inf" not in captured.out + captured.err
+    out = tmp_path / "out"
+    assert cli.main(["run", "--instance", f"{spec[:-1]},kind=point)", "--T", "1000000", "--seeds", "1",
+                     "--out", str(out)]) == 0
+    header, row = read_csv(out / "results.csv")
+    assert dict(zip(header, row))["bound_value"] == "nan"
+    assert json.loads((out / "results.json").read_text(encoding="utf-8"))["reports"][0]["bound_value"] is None
+
+
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (["run", "--config", "missing.ini"], 2, "config error: config: cannot read 'missing.ini'"),
+        (["run", "--config", "latin1.ini"], 2, "config error: config: cannot read 'latin1.ini': 'utf-8' codec"),
+        (["run", "--config", "no_header.ini"], 2,
+         "config error: config file: File contains no section headers.\nfile: 'no_header.ini', line: 1"),
+        (["run", "--seeds", "0"], 2, "config error: grid.seeds: must be >= 1"),
+        (["bounds", "--instance", "linear(K=4)", "--T", "1"], 2, "config error: --T: horizon must be >= 2"),
+        (["verify", "--instance", "custom(means=0.5|0.5)"], 2, "config error: instance: all gaps zero"),
+        (["memaudit", "--K", "2", "--out", "plain"], 3, "error: cannot write audit table"),
+    ],
+    ids=["missing-config", "undecodable-config", "config-without-section", "zero-seeds", "horizon-1",
+         "all-gaps-zero", "audit-out-is-a-file"],
+)
+def test_bad_input_exits_with_its_code(tmp_path, monkeypatch, capsys, argv, code, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.ini").write_bytes("[grid]\nT = 100 # \u00e9\n".encode("latin-1"))
+    (tmp_path / "no_header.ini").write_text("T = 100\n", encoding="utf-8")
+    (tmp_path / "plain").write_text("", encoding="utf-8")
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "<string>" not in err
+    assert sorted(os.listdir(tmp_path)) == ["latin1.ini", "no_header.ini", "plain"]
 
 
 def test_empty_output_dir_exits_2(tmp_path, monkeypatch, capsys):
