@@ -1,5 +1,7 @@
 """Constant-space stochastic bandit policies and a seeded measurement harness."""
 
+import importlib
+
 from .bounds import regret_bound, rmax_bound
 from .confidence import Rule, round_budget
 from .envs import (
@@ -36,17 +38,28 @@ from .schedules import (
     polylog_rounds_bound,
     rounds_to_precision,
 )
-from .simulator import (
-    EpisodeTrace,
-    LemmaReport,
-    MemoryAuditRow,
-    RegretReport,
-    check_lemma_assertions,
-    memory_audit,
-    pseudo_regret,
-    run_episode,
-    run_suite,
-)
+# The episode engine is imported on first use, so that building inputs and
+# ``bounds`` never load it: ``constbandit.run_episode`` and
+# ``from constbandit import run_suite`` import ``simulator`` then.
+_SIMULATOR_NAMES = frozenset({
+    "EpisodeTrace",
+    "LemmaReport",
+    "MemoryAuditRow",
+    "RegretReport",
+    "check_lemma_assertions",
+    "memory_audit",
+    "pseudo_regret",
+    "run_episode",
+    "run_suite",
+})
+
+
+def __getattr__(name):
+    if name == "simulator" or name in _SIMULATOR_NAMES:
+        simulator = importlib.import_module(".simulator", __name__)
+        return simulator if name == "simulator" else getattr(simulator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ADAPTIVE_RATIO",

@@ -31,7 +31,11 @@ def rmax_bound(delta_min: float, schedule: Schedule) -> int:
     if schedule.kind == "polylog":
         inner = math.log2(2.0 / delta_min)
         denom = max(1.0, math.log2(inner))
-        return math.ceil((2.0 / schedule.epsilon + 1.0) * inner / denom + 2.0)
+        cap = (2.0 / schedule.epsilon + 1.0) * inner / denom + 2.0
+        if not math.isfinite(cap):
+            raise ValueError(f"round-count cap is not a finite float at delta_min={delta_min:g}, "
+                             f"epsilon={schedule.epsilon:g}")
+        return math.ceil(cap)
     return math.ceil(math.log2(2.0 / delta_min))
 
 

@@ -19,20 +19,19 @@ Exit codes: 0 success, 1 assertion failure, 2 config error (gaps that
 
 from __future__ import annotations
 
-import argparse
-import configparser
-import csv
+# argparse, configparser, csv, json and ``simulator`` are imported by the
+# functions that use them, so importing this module loads none of them and
+# ``bounds`` loads only argparse.
 import io
-import json
 import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
 from itertools import product
 
-from . import envs, simulator
+from . import envs
 from .bounds import regret_bound, rmax_bound
-from .policies import ConstSpacePolicy, DoublingPolicy, PolicyConfig
+from .policies import ConstSpacePolicy, DoublingPolicy, PolicyConfig, make_policy
 from .schedules import GEOMETRIC, Schedule, polylog, polylog_rounds_bound, rounds_to_precision
 
 EXIT_OK = 0
@@ -148,7 +147,7 @@ def check_policies(cfg: ExperimentConfig, instance: envs.BanditInstance) -> None
     for policy, horizon in product(cfg.policies, cfg.horizons):
         where = f"policy {policy.label()} at T={horizon}"
         try:
-            simulator.make_policy(policy, instance.n_arms, horizon)
+            make_policy(policy, instance.n_arms, horizon)
         except (ValueError, OverflowError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
         if policy.name != "doubling":
@@ -163,6 +162,8 @@ def check_policies(cfg: ExperimentConfig, instance: envs.BanditInstance) -> None
 # -- INI config files ---------------------------------------------------------
 
 def _ini_parser(text: str = "") -> configparser.ConfigParser:
+    import configparser
+
     parser = configparser.ConfigParser(interpolation=None)  # a '%' in a value is literal
     parser.optionxform = str  # keep T and K case-sensitive
     try:
@@ -251,6 +252,8 @@ FLAG_KEYS = {"policy": ("policy", "names"), "T": ("grid", "T"), "seeds": ("grid"
 def resolve_config(args) -> ExperimentConfig:
     """The preset's sections or the --config file, each flag given written
     over its key, all read once by ``config_from_ini``."""
+    import configparser
+
     parser = _ini_parser()
     if args.config:
         try:
@@ -305,6 +308,8 @@ def report_csv_rows(reports) -> list[list[str]]:
 
 
 def write_csv(reports, path: str) -> None:
+    import csv
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
@@ -313,6 +318,8 @@ def write_csv(reports, path: str) -> None:
 
 def reports_to_json(reports, cfg: ExperimentConfig | None = None) -> str:
     """Strict JSON: a NaN (or infinite) field is written as null."""
+    import json
+
     payload = {"reports": [
         {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in asdict(rep).items()}
         for rep in reports
@@ -324,6 +331,10 @@ def reports_to_json(reports, cfg: ExperimentConfig | None = None) -> str:
 
 def reports_from_json(text: str) -> list[simulator.RegretReport]:
     """Inverse of ``reports_to_json``; a null field other than ``error`` reads as NaN."""
+    import json
+
+    from . import simulator
+
     return [
         simulator.RegretReport(**{k: math.nan if v is None and k != "error" else v for k, v in d.items()})
         for d in json.loads(text)["reports"]
@@ -374,6 +385,8 @@ def print_report_table(reports, out=None) -> None:
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_run(args) -> int:
+    from . import simulator
+
     cfg = resolve_config(args)
     instance = build_instance(cfg)
     check_policies(cfg, instance)
@@ -433,6 +446,8 @@ def schedule_grid_ok(out=None) -> bool:
 
 
 def cmd_verify(args) -> int:
+    from . import simulator
+
     cfg = resolve_config(args)
     if all(p.name == "ucb1" for p in cfg.policies):
         raise ConfigError("policy.names: verify needs a round-based policy")
@@ -440,6 +455,12 @@ def cmd_verify(args) -> int:
     if instance.delta_min is None:
         raise ConfigError("instance: all gaps zero; guarantees are undefined")
     check_policies(cfg, instance)
+    for policy in cfg.policies:  # the round-count cap the lemma checks read
+        if policy.name != "ucb1":
+            try:
+                rmax_bound(instance.delta_min, policy.schedule)
+            except ValueError as exc:
+                raise ConfigError(f"policy {policy.label()}: {exc}") from exc
     tallies = {name: [0, 0] for name in simulator.CHECK_NAMES}  # pass, fail
     clean_runs = 0
     episodes = 0
@@ -483,6 +504,8 @@ DEFAULT_AUDIT_POLICIES = (
 
 
 def cmd_memaudit(args) -> int:
+    from . import simulator
+
     grid = parse_int_list(args.K, "--K")
     if not grid or min(grid) < 2:
         raise ConfigError("--K: grid must be non-empty, with every K >= 2")
@@ -491,6 +514,8 @@ def cmd_memaudit(args) -> int:
     cells = [[r.policy, r.schedule, str(r.n_arms), str(r.words_at_reset), str(r.words_peak)] for r in rows]
     print_table([("policy", "<"), ("schedule", "<"), ("K", ">"), ("reset", ">"), ("peak", ">")], cells)
     if args.out:
+        import csv
+
         try:
             os.makedirs(args.out, exist_ok=True)
             with open(os.path.join(args.out, "memaudit.csv"), "w", encoding="utf-8", newline="") as fh:
@@ -546,6 +571,8 @@ def _add_common_flags(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(prog="constbandit", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 

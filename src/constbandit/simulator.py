@@ -14,7 +14,6 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from itertools import product
-from statistics import fmean, stdev
 
 from .bounds import regret_bound, rmax_bound
 from .envs import BanditInstance, RewardStream, make_linear_gaps
@@ -328,6 +327,8 @@ def suite_cells(policy_configs, instances, horizons, n_seeds: int, base_seed: in
 
 
 def _run_cell(cell):
+    from statistics import fmean, stdev
+
     index, policy_config, instance, horizon, seeds = cell
     label_kwargs = dict(
         policy=policy_config.name,
@@ -384,8 +385,9 @@ def run_suite(
 
     The process pool is imported only when one is built. numpy is imported
     just before, in this process: forked workers inherit it, where each
-    would otherwise import it on its first draw, about 0.1 s a worker. A
-    pool whose worker dies is reported as an OSError.
+    would otherwise import it on its first draw, about 0.1 s a worker. Pool
+    workers load ``statistics`` on their first cell. A pool whose worker
+    dies is reported as an OSError.
     """
     if not policy_configs or not instances or not horizons:
         raise ValueError("policies, instances and horizons must be non-empty")

@@ -41,6 +41,8 @@ def test_rmax_bound_rejects_degenerate():
         rmax_bound(0.0, GEOMETRIC)
     with pytest.raises(ValueError):
         rmax_bound(1.5, GEOMETRIC)
+    with pytest.raises(ValueError, match="round-count cap is not a finite float"):
+        rmax_bound(0.0625, polylog(1e-308))  # 2/epsilon is past the float range
 
 
 def test_rmax_caps_cover_schedule_convergence():

@@ -794,13 +794,16 @@ def test_broken_worker_pool_exits_3(tmp_path, monkeypatch, capsys):
 
 # Modules that only reward draws and the worker pool need.
 _HEAVY = ("numpy", "multiprocessing", "concurrent.futures", "concurrent.futures.process")
+# Modules that only parsing flags, reading INI text, writing results and
+# running episodes need.
+_DEFERRED = ("argparse", "configparser", "csv", "json", "statistics", "constbandit.simulator")
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _heavy_modules_after(script: str) -> set[str]:
+def _loaded_after(script: str, modules: tuple[str, ...] = _HEAVY) -> set[str]:
     """Run ``script`` in a fresh interpreter on this checkout's package and
-    return which of ``_HEAVY`` it left loaded."""
-    script += f"\nimport sys\nprint('loaded:', *(m for m in {_HEAVY!r} if m in sys.modules))"
+    return which of ``modules`` it left loaded."""
+    script += f"\nimport sys\nprint('loaded:', *(m for m in {modules!r} if m in sys.modules))"
     done = subprocess.run(
         [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(_SRC)),
         capture_output=True, text=True, timeout=120, check=True,
@@ -809,33 +812,59 @@ def _heavy_modules_after(script: str) -> set[str]:
     return set(line.split()[1:])
 
 
+_IMPORT = "import constbandit, constbandit.cli"
+_BOUNDS = """
+from constbandit import cli
+assert cli.main(['bounds', '--instance', 'linear(K=16)', '--T', '100000']) == 0
+"""
 _EPISODE = """
 from constbandit import PolicyConfig, make_custom, run_episode
 run_episode(PolicyConfig("constspace"), make_custom([0.9, 0.6], kind={kind!r}), 3000, 0)
+"""
+_RUN_JOBS_1 = """
+import tempfile
+from constbandit import cli
+with tempfile.TemporaryDirectory() as out:
+    assert cli.main(['run', '--jobs', '1', '--T', '100', '--seeds', '1', '--out', out]) == 0
 """
 
 
 @pytest.mark.parametrize(
     "script,expected",
     [
-        ("import constbandit, constbandit.cli", set()),
-        (
-            "from constbandit import cli\n"
-            "assert cli.main(['bounds', '--instance', 'linear(K=16)', '--T', '100000']) == 0",
-            set(),
-        ),
+        (_IMPORT, set()),
+        (_BOUNDS, set()),
         (_EPISODE.format(kind="point"), set()),
         (_EPISODE.format(kind="bernoulli"), {"numpy"}),  # so the empty sets are not vacuous
-        (
-            "import tempfile\nfrom constbandit import cli\nwith tempfile.TemporaryDirectory() as out:\n"
-            "    assert cli.main(['run', '--jobs', '1', '--T', '100', '--seeds', '1', '--out', out]) == 0",
-            {"numpy"},
-        ),
+        (_RUN_JOBS_1, {"numpy"}),
     ],
     ids=["import", "bounds", "point-episode", "bernoulli-episode", "run-jobs-1"],
 )
 def test_numpy_and_pool_load_only_when_used(script, expected):
-    assert _heavy_modules_after(script) == expected
+    assert _loaded_after(script) == expected
+
+
+@pytest.mark.parametrize(
+    "script,expected",
+    [
+        (_IMPORT, set()),
+        (_BOUNDS, {"argparse"}),
+        ("import constbandit\nconstbandit.run_episode", {"constbandit.simulator"}),
+        (_RUN_JOBS_1, set(_DEFERRED)),  # so the smaller sets are not vacuous
+    ],
+    ids=["import", "bounds", "episode-name", "run-jobs-1"],
+)
+def test_modules_load_only_when_used(script, expected):
+    assert _loaded_after(script, _DEFERRED) == expected
+
+
+def test_package_serves_the_simulator_names_on_first_use():
+    import constbandit
+
+    assert constbandit.simulator is simulator
+    for name in ("EpisodeTrace", "RegretReport", "run_episode", "run_suite", "memory_audit"):
+        assert getattr(constbandit, name) is getattr(simulator, name)
+    assert not hasattr(constbandit, "no_such_name")
 
 
 def test_parent_loads_numpy_before_forking_the_pool():
@@ -847,7 +876,7 @@ def test_parent_loads_numpy_before_forking_the_pool():
         "cfgs = [PolicyConfig('constspace'), PolicyConfig('ucb1')]\n"
         "run_suite(cfgs, [make_custom([0.9, 0.6])], [50], 1, jobs=2)"
     )
-    assert _heavy_modules_after(script) == set(_HEAVY)
+    assert _loaded_after(script) == set(_HEAVY)
 
 
 def test_memaudit_rejects_small_K(capsys):
@@ -955,6 +984,42 @@ def test_bound_past_the_float_range_is_not_printed_as_inf(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["run", "--instance", f"{spec[:-1]},kind=point)", "--T", "1000000", "--seeds", "1",
                      "--out", str(out)]) == 0
+    header, row = read_csv(out / "results.csv")
+    assert dict(zip(header, row))["bound_value"] == "nan"
+    assert json.loads((out / "results.json").read_text(encoding="utf-8"))["reports"][0]["bound_value"] is None
+
+
+def test_bounds_exits_2_when_the_round_count_cap_overflows(capsys):
+    # 2/epsilon is past the float range, so the poly-log cap is not a finite float
+    argv = ["bounds", "--instance", "linear(K=16)", "--T", "100", "--schedule", "polylog(1e-308)"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: instance: round-count cap is not a finite float at "
+                            "delta_min=0.0625, epsilon=1e-308\n")
+
+
+def test_verify_exits_2_before_any_episode_when_the_round_count_cap_overflows(monkeypatch, capsys):
+    def no_episode(*args):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(simulator, "run_episode", no_episode)
+    argv = ["verify", "--policy", "constspace-polylog(1e-308)", "--instance", "custom(means=0.9|0.6)",
+            "--T", "100", "--seeds", "1"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: policy constspace-polylog(1e-308): round-count cap is not a finite "
+                            "float at delta_min=0.3, epsilon=1e-308\n")
+
+
+def test_run_writes_nan_when_the_round_count_cap_overflows(tmp_path, capsys):
+    # run reads no cap, and its regret bound is past the float range too
+    out = tmp_path / "out"
+    argv = ["run", "--policy", "constspace-polylog(1e-308)", "--instance", "custom(means=0.9|0.6)",
+            "--T", "100", "--seeds", "1", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
     header, row = read_csv(out / "results.csv")
     assert dict(zip(header, row))["bound_value"] == "nan"
     assert json.loads((out / "results.json").read_text(encoding="utf-8"))["reports"][0]["bound_value"] is None
