@@ -117,8 +117,9 @@ class RewardStream:
     ``_refill`` jumps a bernoulli arm's generator over the chunks passed
     over in one ``advance``, so a skip of any length costs one chunk. A
     beta chunk's sampler consumes a varying number of generator outputs, so
-    a beta arm still generates every chunk passed over. A point arm keeps
-    no state and always takes the refill path.
+    a beta arm still generates every chunk passed over. A point arm has no
+    generator: its chunk is rebuilt from its value, so like any arm it
+    reads the buffered chunk on 255 of every 256 draws.
     """
 
     def __init__(self, instance: BanditInstance, seed: int):

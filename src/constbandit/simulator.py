@@ -1,11 +1,12 @@
 """Episode runner, pseudo-regret ledger, guarantee checks and memory audit.
 
 The harness, unlike the policies it drives, is allowed O(K) memory: it
-keeps per-arm pull tallies and the round records. It flags the clean event
-(every running mean of a round's scan staying within its Hoeffding radius
-of the arm's true mean, which the harness knows) by reading the policy's
-own running mean and radius after each explore pull. The conditional
-guarantees of the round-based policy are checked only on clean episodes.
+keeps per-arm pull tallies and the round records. It steps the round-based
+policy's CONTINUE pulls itself, with the policy's own expressions for the
+running mean and Hoeffding radius, and flags the clean event (every running
+mean of a round's scan staying within its radius of the arm's true mean,
+which the harness knows) on those values. The conditional guarantees of the
+round-based policy are checked only on clean episodes.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from itertools import product
+from math import sqrt
 
 from .bounds import regret_bound, rmax_bound
 from .envs import BanditInstance, RewardStream, make_linear_gaps
@@ -63,20 +65,27 @@ def run_episode(
     step-equivalent.
 
     A level is stepped in arm segments. Each segment selects an arm once,
-    then draws and observes it until ``observe`` reports a transition or
-    the level stops (UCB1 reports ARM_DONE when its next arm differs). The
-    per-pull loop keeps no regret state: ``settle`` books each stepped
+    then draws it until the arm's scan ends or the level stops. UCB1's
+    segment observes every pull until ``observe`` reports ARM_DONE (its next
+    arm differs). A round-based segment draws every pull but applies the
+    CONTINUE ones itself, under the caller contract of ``ConstSpacePolicy``:
+    it computes each pull's running mean and radius with ``observe``'s
+    expressions, and on the pull that would rule the arm out or reach its
+    budget writes ``n``, ``mean_cur``, ``radius`` and ``t`` back and hands
+    that reward to ``observe``, which reports the transition or closes the
+    round. A segment that ends at the level's stop writes back and calls
+    nothing. The clean check compares each explore pull's running mean with
+    its radius; an unclean episode checks no further pulls.
+
+    The per-pull loop keeps no regret state: ``settle`` books each stepped
     segment and each committed skip once, adding its pulls to the tallies
     and the action log and recording each checkpoint (t = 1, 2, 4, ... and
     the horizon) it passes as the pseudo-regret of the tallies at that tick,
     so the last one equals ``pseudo_regret`` exactly. A round scans each arm
     once, in index order, so a segment is the arm's pulls in the round: its
     length is the record's per-arm tally, and ``r_max_observed`` is the
-    largest ``r - 1`` over the records. The clean check compares the
-    policy's ``mean_cur`` with its ``radius`` after each explore pull (see
-    ``ConstSpacePolicy``); an unclean episode checks no further pulls. UCB1
-    has no rounds, so its trace reports the clean event and
-    ``r_max_observed`` as None.
+    largest ``r - 1`` over the records. UCB1 has no rounds, so its trace
+    reports the clean event and ``r_max_observed`` as None.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -120,16 +129,39 @@ def run_episode(
 
         select_arm, observe = current.select_arm, current.observe
         while t < stop:
-            arm = select_arm()
-            mu, start = instance.means[arm], t
-            while True:
-                report = observe(draw(arm))
-                t += 1
-                # a stepping round-based level explores, so the radius is this pull's
-                if clean and abs(current.mean_cur - mu) > current.radius:
-                    clean = False
-                if report is not CONTINUE or t == stop:
-                    break
+            arm, start = select_arm(), t
+            if round_based:
+                # CONTINUE pulls are applied here with observe's expressions;
+                # the pull that ends the arm goes to observe.
+                mu, mean, radius = instance.means[arm], current.mean_cur, current.radius
+                n = first = current.n
+                reference, budget, log_inv_delta = current.reference, current.budget, current.log_inv_delta
+                last = None
+                for n1 in range(n + 1, min(budget, n + stop - t) + 1):
+                    reward = draw(arm)
+                    if not 0.0 <= reward <= 1.0:
+                        raise ValueError(f"reward must lie in [0, 1], got {reward!r}")
+                    m = (mean * n + reward) / n1
+                    rad = sqrt(log_inv_delta / (2.0 * n1))
+                    if clean and abs(m - mu) > rad:
+                        clean = False
+                    if m + rad < reference or n1 == budget:
+                        last = reward
+                        break
+                    n, mean, radius = n1, m, rad
+                current.n, current.mean_cur, current.radius = n, mean, radius
+                current.t += n - first
+                t += n - first
+                report = CONTINUE
+                if last is not None:
+                    report = observe(last)
+                    t += 1
+            else:
+                while True:
+                    report = observe(draw(arm))
+                    t += 1
+                    if report is not CONTINUE or t == stop:
+                        break
 
             settle(arm, start, t)
             if round_based:

@@ -2,6 +2,7 @@ import concurrent.futures
 import math
 from collections import Counter
 from dataclasses import replace
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -235,6 +236,11 @@ def assert_matches_step_driven(cfg, inst, horizon, seed):
         final = (policy.level, policy.level_horizon, policy.t_total)
         assert final == (oracle.level, oracle.level_horizon, oracle.t_total)
         assert policy.t_total == horizon
+    if cfg.name != "ucb1":  # every register, mid-arm ones included, as stepping leaves it
+        (policy,) = made
+        inner, oracle_inner = (policy.inner, oracle.inner) if cfg.name == "doubling" else (policy, oracle)
+        registers = ConstSpacePolicy.REGISTERS
+        assert [getattr(inner, r) for r in registers] == [getattr(oracle_inner, r) for r in registers]
     ticks = sorted({min(2**k, horizon) for k in range(horizon.bit_length() + 1)})
     assert [tick for tick, _ in trace.trajectory] == ticks
     for tick, regret in trace.trajectory:  # pseudo_regret of the oracle's pulls so far, bit for bit
@@ -243,16 +249,24 @@ def assert_matches_step_driven(cfg, inst, horizon, seed):
     return trace
 
 
-@pytest.mark.parametrize("last,clean", [(1.0, False), (0.5, True)])
-def test_clean_check_covers_the_pull_that_ends_an_arm(monkeypatch, last, clean):
+@pytest.mark.parametrize(
+    "script,clean",
+    [
+        pytest.param((0.76,) * 5 + (1.0,), False, id="1.0-False"),
+        pytest.param((0.76,) * 5 + (0.5,), True, id="0.5-True"),
+        pytest.param((1.0, 1.0, 0.0, 0.0, 0.5, 0.5), False, id="mid_arm-False"),
+        pytest.param((0.5, 0.75, 0.25, 0.5, 0.5, 0.5), True, id="mid_arm-True"),
+    ],
+)
+def test_clean_check_covers_the_pull_that_ends_an_arm(monkeypatch, script, clean):
     # Two arms of mean 0.5 with delta 0.5: round 1 gives each arm a budget
-    # of 6, and T = 12 ends the episode with that round. Arm 0's running
-    # mean is 0.76 after five pulls, inside the radius sqrt(ln 2 / 10) =
-    # 0.263. A sixth reward of 1.0 moves it to 0.8, outside sqrt(ln 2 / 12)
-    # = 0.240, so the only breach falls on the pull that reports ARM_DONE;
-    # a sixth 0.5 gives 0.717 and keeps the episode clean.
-    script = (0.76,) * 5 + (last,)
-
+    # of 6, and T = 12 ends the episode with that round. In the first two
+    # scripts arm 0's running mean is 0.76 after five pulls, inside the
+    # radius sqrt(ln 2 / 10) = 0.263. A sixth reward of 1.0 moves it to 0.8,
+    # outside sqrt(ln 2 / 12) = 0.240, so the only breach falls on the pull
+    # that reports ARM_DONE; a sixth 0.5 gives 0.717 and keeps the episode
+    # clean. The mid-arm breach is on CONTINUE pulls 2 and 3 (means 1.0 and
+    # 0.667 against radii 0.416 and 0.340); both mid-arm scripts end on 0.5.
     def scripted_draw(self, arm):
         drawn = vars(self).setdefault("scripted_draws", [0, 0])
         drawn[arm] += 1
@@ -264,6 +278,48 @@ def test_clean_check_covers_the_pull_that_ends_an_arm(monkeypatch, last, clean):
     assert trace.clean_event is clean
     (record,) = trace.round_log
     assert record.budget == 6 and record.pulls == (6, 6)
+
+
+# Point arms 0.9, 0.1, 0.8 under delta 0.5: round 1 pulls each arm 6 times
+# (t = 1..18) and does not separate, so round 2 has budget 23 and reference
+# 0.65. Arm 0 takes t = 19..41, arm 1 is ruled out on its second pull
+# (0.1 + sqrt(ln 2 / 4) < 0.65) at t = 43, and arm 2 takes t = 44..66.
+_EDGE_INSTANCE = make_custom([0.9, 0.1, 0.8], kind="point")
+
+
+@pytest.mark.parametrize(
+    "horizon,last_arm_pulls",
+    [
+        (5, 5),  # one pull short of round 1's budget
+        (6, 6),  # exactly at it
+        (40, 22),  # one pull short of round 2's budget
+        (41, 23),  # exactly at it: ARM_DONE on the level's stop
+        (42, 1),  # mid-way through the arm that is ruled out
+        (43, 2),  # on the rule-out pull
+        (66, 23),  # on the pull that closes round 2
+    ],
+)
+def test_horizon_ends_at_an_arm_scan_edge(horizon, last_arm_pulls):
+    cfg = PolicyConfig("constspace", rule=Rule(0.5))
+    trace = assert_matches_step_driven(cfg, _EDGE_INSTANCE, horizon, 0)
+    assert [len(list(run)) for _, run in groupby(trace.action_log)][-1] == last_arm_pulls
+
+
+@pytest.mark.parametrize("bad_pull", [3, 6])  # a CONTINUE pull; the pull that ends arm 0
+@pytest.mark.parametrize("bad", [1.5, -0.25, math.nan])
+def test_reward_outside_unit_interval_raises(monkeypatch, bad_pull, bad):
+    def bad_draw(self, arm):
+        drawn = vars(self).setdefault("drawn", [0, 0])
+        drawn[arm] += 1
+        return bad if (arm, drawn[arm]) == (0, bad_pull) else 0.5
+
+    monkeypatch.setattr(RewardStream, "draw", bad_draw)
+    cfg, inst = PolicyConfig("constspace", rule=Rule(0.5)), make_custom([0.5, 0.5], kind="point")
+    with pytest.raises(ValueError, match=r"reward must lie in \[0, 1\]") as raised:
+        run_episode(cfg, inst, 12, 0)
+    with pytest.raises(ValueError) as expected:
+        step_driven(cfg, inst, 12, 0)
+    assert str(raised.value) == str(expected.value)
 
 
 # Means 0.9, 0.72, 0.3, 0.2, 0.1 (best arm moved for the point masses): the
@@ -426,11 +482,13 @@ def test_doubling_committed_levels_exploit_in_bulk(monkeypatch):
 
 @pytest.mark.parametrize("name", ["constspace", "doubling"])
 def test_episode_selects_once_per_arm_scan(monkeypatch, name):
-    # The step-driven path selected once per pull; the episode loop selects
-    # once per arm scan, so at most once per transition report plus once per
-    # level (for the scan the level ends in).
-    calls = {"select": 0, "observe": 0, "transitions": 0}
+    # The step-driven path selected and observed once per pull. The episode
+    # loop draws every stepped pull but selects once per arm scan, so at most
+    # once per transition report plus once per level (for the scan the level
+    # ends in), and hands observe only the pull that ends an arm or a round.
+    calls = {"select": 0, "observe": 0, "transitions": 0, "draws": 0, "skipped": 0}
     real_select, real_observe = ConstSpacePolicy.select_arm, ConstSpacePolicy.observe
+    real_draw, real_skip = RewardStream.draw, RewardStream.skip
 
     def counting_select(self):
         calls["select"] += 1
@@ -442,11 +500,22 @@ def test_episode_selects_once_per_arm_scan(monkeypatch, name):
         calls["transitions"] += report is not CONTINUE
         return report
 
+    def counting_draw(self, arm):
+        calls["draws"] += 1
+        return real_draw(self, arm)
+
+    def counting_skip(self, arm, n):
+        calls["skipped"] += n
+        real_skip(self, arm, n)
+
     monkeypatch.setattr(ConstSpacePolicy, "select_arm", counting_select)
     monkeypatch.setattr(ConstSpacePolicy, "observe", counting_observe)
+    monkeypatch.setattr(RewardStream, "draw", counting_draw)
+    monkeypatch.setattr(RewardStream, "skip", counting_skip)
     trace = run_episode(PolicyConfig(name), make_linear_gaps(4), 10**4, 0)
     levels = len(trace.level_log) if trace.level_log else 1
-    assert calls["transitions"] >= 4 and calls["observe"] > 1000
+    assert calls["draws"] + calls["skipped"] == trace.steps and calls["draws"] > 1000
+    assert calls["observe"] == calls["transitions"] >= 4
     assert 0 < calls["select"] <= calls["transitions"] + levels
 
 
