@@ -27,6 +27,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, partial
+from operator import length_hint
 
 _CHUNK = 256
 
@@ -110,27 +111,43 @@ class BanditInstance:
 class RewardStream:
     """Seeded reward source; ``draw(arm)`` yields the arm's next sample.
 
-    Per arm: [generator, chunk, index into chunk], the chunk a list of
-    Python floats. ``draw`` on a buffered pull only reads and moves the
-    index; arm checks and generation happen on the refill path. ``skip``
-    only moves the index, maybe past the chunk; when the arm is next drawn,
-    ``_refill`` jumps a bernoulli arm's generator over the chunks passed
-    over in one ``advance``, so a skip of any length costs one chunk. A
-    beta chunk's sampler consumes a varying number of generator outputs, so
-    a beta arm still generates every chunk passed over. A point arm has no
-    generator: its chunk is rebuilt from its value, so like any arm it
-    reads the buffered chunk on 255 of every 256 draws.
+    Per arm: [generator, chunk, index into chunk] in ``_buffers``, the
+    chunk a list of Python floats, and an iterator over the rest of the
+    chunk in ``_iters``. ``draw`` on a buffered pull is one ``next`` of
+    that iterator; arm checks and generation happen on the refill path,
+    which an arm with no iterator or an exhausted one takes. The index is
+    read off the iterator, as ``_CHUNK`` less the items it has left; the
+    stored one holds only while the arm has no iterator. ``skip`` drops the
+    iterator and moves the index on, maybe past the chunk; when the arm is
+    next drawn, ``_refill`` jumps a bernoulli arm's generator over the
+    chunks passed over in one ``advance``, so a skip of any length costs
+    one chunk. A beta chunk's sampler consumes a varying number of
+    generator outputs, so a beta arm still generates every chunk passed
+    over. A point arm has no generator: its chunk is rebuilt from its
+    value, so like any arm it reads the buffered chunk on 255 of every 256
+    draws.
     """
 
     def __init__(self, instance: BanditInstance, seed: int):
         self.instance = instance
         self.seed = int(seed)
         self._buffers: dict[int, list] = {}
+        self._iters = {}  # arm -> iterator over the rest of its chunk
+
+    def _park(self, arm: int) -> list:
+        """The arm's state, its index stored and its iterator dropped."""
+        state = self._buffers.setdefault(arm, [None, None, _CHUNK])
+        it = self._iters.pop(arm, None)
+        if it is not None:
+            state[2] = _CHUNK - length_hint(it)
+        return state
 
     def _refill(self, arm: int) -> list:
-        state = self._buffers.setdefault(arm, [None, None, _CHUNK])
+        state = self._park(arm)
         spec = self.instance.arms[arm]
         chunks, state[2] = divmod(state[2], _CHUNK)
+        if not chunks:  # skipped within the chunk
+            return state
         if spec.kind == "point":
             state[1] = [spec.a] * _CHUNK
             return state
@@ -156,21 +173,13 @@ class RewardStream:
 
     def draw(self, arm: int) -> float:
         try:
-            state = self._buffers[arm]
-            i = state[2]
-            if i < _CHUNK:
-                state[2] = i + 1
-                return state[1][i]
-        except KeyError:  # not drawn or skipped yet, or a bad arm
+            return next(self._iters[arm])
+        except (KeyError, StopIteration):  # not drawn yet, skipped, chunk spent, or a bad arm
             pass
-        return self._draw_refilled(arm)
-
-    def _draw_refilled(self, arm: int) -> float:
         self._check_arm(arm)
         state = self._refill(arm)
-        i = state[2]
-        state[2] = i + 1
-        return state[1][i]
+        self._iters[arm] = it = iter(state[1][state[2]:])
+        return next(it)
 
     def _check_arm(self, arm: int) -> None:
         if not 0 <= arm < self.instance.n_arms:
@@ -181,7 +190,7 @@ class RewardStream:
         if n < 0:
             raise ValueError("n must be >= 0")
         self._check_arm(arm)
-        self._buffers.setdefault(arm, [None, None, _CHUNK])[2] += n
+        self._park(arm)[2] += n
 
 
 def make_custom(means, kind: str = "bernoulli") -> BanditInstance:

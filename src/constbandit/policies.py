@@ -168,12 +168,12 @@ class ConstSpacePolicy:
 
     Caller contract: while exploring, a pull that reports CONTINUE changes
     only ``t``, ``n``, ``mean_cur`` and ``radius``. So a caller may apply an
-    arm's CONTINUE pulls itself, with ``observe``'s exact expressions
-    ``(mean_cur * n + reward) / (n + 1)`` and
-    ``sqrt(log_inv_delta / (2.0 * (n + 1)))`` and its ``[0, 1]`` reward
-    check, as long as it writes ``n``, ``mean_cur``, ``radius`` and ``t``
-    back before it hands ``observe`` the pull that rules the arm out or
-    reaches ``budget``, and before it stops. ``run_episode`` does this.
+    arm's CONTINUE pulls itself, with ``observe``'s ``[0, 1]`` reward check
+    and values bit-equal to its expressions ``(mean_cur * n + reward) /
+    (n + 1)`` and ``sqrt(log_inv_delta / (2.0 * (n + 1)))``, as long as it
+    writes ``n`` (an int), ``mean_cur``, ``radius`` and ``t`` back before it
+    hands ``observe`` the pull that rules the arm out or reaches ``budget``,
+    and before it stops. ``run_episode`` does this.
     """
 
     # Mutable scalar registers retained between steps. Configuration

@@ -69,13 +69,24 @@ def run_episode(
     segment observes every pull until ``observe`` reports ARM_DONE (its next
     arm differs). A round-based segment draws every pull but applies the
     CONTINUE ones itself, under the caller contract of ``ConstSpacePolicy``:
-    it computes each pull's running mean and radius with ``observe``'s
-    expressions, and on the pull that would rule the arm out or reach its
-    budget writes ``n``, ``mean_cur``, ``radius`` and ``t`` back and hands
-    that reward to ``observe``, which reports the transition or closes the
-    round. A segment that ends at the level's stop writes back and calls
-    nothing. The clean check compares each explore pull's running mean with
-    its radius; an unclean episode checks no further pulls.
+    it computes each pull's running mean ``(mean * n + reward) / n1`` and
+    radius ``sqrt((log_inv_delta / 2.0) / n1)``, and on the pull that would
+    rule the arm out or reach its budget writes ``n``, ``mean_cur``,
+    ``radius`` and ``t`` back and hands that reward to ``observe``, which
+    reports the transition or closes the round. A segment that ends at the
+    level's stop writes back and calls nothing. The clean check compares
+    each explore pull's running mean with its radius; an unclean episode
+    checks no further pulls.
+
+    The segment carries ``n``, ``n1`` and ``budget`` as floats, because
+    float-with-float arithmetic is the faster path, and writes ``int(n)``
+    back. The values are those of ``observe``'s int counts, bit for bit:
+    a count is at most the pulls stepped, an integer below 2**53, which
+    converts to float exactly, and ``observe``'s mixed int-float
+    arithmetic converts its int count the same way. A budget of 2**53 or
+    more equals no reachable count, whether compared as an int or as a
+    float. Halving ``log_inv_delta`` is exact too, so ``(L / 2.0) / n1``
+    rounds the same real number as ``observe``'s ``L / (2.0 * n1)``.
 
     The per-pull loop keeps no regret state: ``settle`` books each stepped
     segment and each committed skip once, adding its pulls to the tallies
@@ -131,24 +142,26 @@ def run_episode(
         while t < stop:
             arm, start = select_arm(), t
             if round_based:
-                # CONTINUE pulls are applied here with observe's expressions;
-                # the pull that ends the arm goes to observe.
+                # CONTINUE pulls are applied here, bit-equal to observe's
+                # values on float counts; the pull that ends the arm goes to observe.
                 mu, mean, radius = instance.means[arm], current.mean_cur, current.radius
-                n = first = current.n
-                reference, budget, log_inv_delta = current.reference, current.budget, current.log_inv_delta
+                first, hi = current.n, min(current.budget, current.n + stop - t)
+                n, budget, reference = float(first), float(current.budget), current.reference
+                half = current.log_inv_delta / 2.0
                 last = None
-                for n1 in range(n + 1, min(budget, n + stop - t) + 1):
+                for n1 in map(float, range(first + 1, hi + 1)):
                     reward = draw(arm)
                     if not 0.0 <= reward <= 1.0:
                         raise ValueError(f"reward must lie in [0, 1], got {reward!r}")
                     m = (mean * n + reward) / n1
-                    rad = sqrt(log_inv_delta / (2.0 * n1))
+                    rad = sqrt(half / n1)
                     if clean and abs(m - mu) > rad:
                         clean = False
                     if m + rad < reference or n1 == budget:
                         last = reward
                         break
                     n, mean, radius = n1, m, rad
+                n = int(n)
                 current.n, current.mean_cur, current.radius = n, mean, radius
                 current.t += n - first
                 t += n - first

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from constbandit import (
@@ -166,6 +166,53 @@ def test_long_skip_leaves_stream_where_draws_would(arm):
     stream.draw(0)
     stream.skip(0, n - 1)
     assert [stream.draw(0) for _ in range(300)] == [stepped.draw(0) for _ in range(300)]
+
+
+_MIXED = BanditInstance((bernoulli(0.5), beta_arm(2.0, 5.0), point_mass(0.3)), "mix")
+# (arm, action, amount): draw `amount` rewards; skip `amount` pulls (none,
+# within a chunk or across several); or skip to the (amount mod 4)-th chunk
+# edge ahead of the arm's pull index, which is the index itself when it
+# sits on an edge and that is 0.
+_STREAM_OPS = st.lists(
+    st.tuples(
+        st.integers(0, _MIXED.n_arms - 1),
+        st.sampled_from(["draw", "skip", "edge"]),
+        st.one_of(st.integers(0, 3), st.integers(1, 255), st.integers(256, 1100)),
+    ),
+    max_size=12,
+)
+
+
+@given(ops=_STREAM_OPS, seed=st.integers(0, 2**16))
+@example(
+    ops=[
+        (0, "skip", 0), (0, "draw", 5), (0, "edge", 0), (0, "draw", 1), (0, "skip", 255),
+        (1, "draw", 300), (1, "skip", 100), (1, "edge", 2), (1, "draw", 2),
+        (2, "skip", 700), (2, "draw", 3), (2, "edge", 0), (2, "edge", 1), (2, "draw", 257),
+    ],
+    seed=5,
+)
+def test_interleaved_draw_and_skip_match_a_drawing_stream(ops, seed):
+    # Each skipped pull is one draw of the reference stream, so every drawn
+    # reward, and the next of every arm at the end, must agree.
+    stream, drawing = RewardStream(_MIXED, seed), RewardStream(_MIXED, seed)
+    pulls = [0] * _MIXED.n_arms
+    for arm, action, amount in ops:
+        n = -pulls[arm] % 256 + 256 * (amount % 4) if action == "edge" else amount
+        if action == "draw":
+            assert [stream.draw(arm) for _ in range(n)] == [drawing.draw(arm) for _ in range(n)]
+        else:
+            stream.skip(arm, n)
+            for _ in range(n):
+                drawing.draw(arm)
+        pulls[arm] += n
+    arms = range(_MIXED.n_arms)
+    assert [stream.draw(arm) for arm in arms] == [drawing.draw(arm) for arm in arms]
+    for bad in (-1, _MIXED.n_arms):
+        with pytest.raises(IndexError):
+            stream.draw(bad)
+        with pytest.raises(IndexError):
+            stream.skip(bad, 1)
 
 
 def test_huge_bernoulli_skip_matches_advanced_generator():

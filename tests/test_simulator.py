@@ -1,8 +1,10 @@
 import concurrent.futures
+import hashlib
+import json
 import math
 from collections import Counter
-from dataclasses import replace
-from itertools import groupby
+from dataclasses import astuple, replace
+from itertools import groupby, product
 
 import pytest
 from hypothesis import given, settings
@@ -240,7 +242,10 @@ def assert_matches_step_driven(cfg, inst, horizon, seed):
         (policy,) = made
         inner, oracle_inner = (policy.inner, oracle.inner) if cfg.name == "doubling" else (policy, oracle)
         registers = ConstSpacePolicy.REGISTERS
-        assert [getattr(inner, r) for r in registers] == [getattr(oracle_inner, r) for r in registers]
+        # repr, so a type counts too: 5.0 for 5 fails, which == would pass
+        assert [repr(getattr(inner, r)) for r in registers] == [
+            repr(getattr(oracle_inner, r)) for r in registers
+        ]
     ticks = sorted({min(2**k, horizon) for k in range(horizon.bit_length() + 1)})
     assert [tick for tick, _ in trace.trajectory] == ticks
     for tick, regret in trace.trajectory:  # pseudo_regret of the oracle's pulls so far, bit for bit
@@ -322,6 +327,27 @@ def test_reward_outside_unit_interval_raises(monkeypatch, bad_pull, bad):
     assert str(raised.value) == str(expected.value)
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    n=st.integers(1, 2**53 - 1),
+    m=_FINITE,
+    x=_FINITE,
+    log_inv_delta=st.floats(-math.log1p(-(2.0**-53)), 745.0),
+    budget=st.integers(2**53, 2**80),
+)
+def test_float_counts_compute_what_int_counts_do(n, m, x, log_inv_delta, budget):
+    # run_episode's segment carries its counts as floats; observe's are ints.
+    # Below 2**53 the two give the same bits, and a larger budget equals no
+    # reachable count either way.
+    assert float(n) == n and int(float(n)) == n
+    assert repr(m * n) == repr(m * float(n))
+    assert repr(x / n) == repr(x / float(n))
+    assert (log_inv_delta / 2.0) / float(n) == log_inv_delta / (2.0 * n)
+    assert float(budget) != float(n) and budget != n
+
+
 # Means 0.9, 0.72, 0.3, 0.2, 0.1 (best arm moved for the point masses): the
 # top two separate in round 3, three of five arms fall in round 2 so the
 # adaptive step differs from halving, and a doubling run at T = 20000
@@ -351,6 +377,34 @@ def test_run_episode_matches_step_driven_oracle(kind, cfg):
     inst = _ORACLE_INSTANCES[kind]
     for seed in (0, 1):
         assert_matches_step_driven(cfg, inst, 20000, seed)
+
+
+# sha256 of the episode outputs below, recorded on the engine that carried
+# its counts as ints. Any engine must reproduce them bit for bit: a changed
+# pull count, round record, flag, commitment or regret checkpoint changes
+# the digest, and so does a count that turns into a float (5.0 for 5).
+_GOLDEN_DIGEST = "4d4ee98a5e416a52d00b985727094a8f8801ea4b0f1b3071c799351e74678cf0"
+_GOLDEN_CONFIGS = (
+    PolicyConfig("constspace", GEOMETRIC),
+    PolicyConfig("constspace", polylog(0.5)),
+    PolicyConfig("constspace", ADAPTIVE_RATIO),
+    PolicyConfig("constspace", GEOMETRIC, Rule(0.5)),
+    PolicyConfig("doubling", GEOMETRIC),
+    PolicyConfig("ucb1"),
+)
+
+
+def test_run_episode_outputs_match_golden_digest():
+    values = []
+    for kind, cfg, horizon, seed in product(sorted(_ORACLE_INSTANCES), _GOLDEN_CONFIGS, (997, 20000), (0, 1)):
+        trace = run_episode(cfg, _ORACLE_INSTANCES[kind], horizon, seed)
+        rounds = None if trace.round_log is None else [astuple(rec) for rec in trace.round_log]
+        values.append([
+            kind, cfg.label(), horizon, seed, trace.pull_counts, rounds, trace.clean_event,
+            trace.frozen, trace.committed_arm, trace.trajectory, trace.level_log,
+        ])
+    encoded = json.dumps(values, separators=(",", ":")).encode()
+    assert hashlib.sha256(encoded).hexdigest() == _GOLDEN_DIGEST
 
 
 # Means on a coarse ladder give gaps wide enough to commit within a few
