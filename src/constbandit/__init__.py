@@ -35,7 +35,6 @@ from .schedules import (
     Schedule,
     next_precision,
     polylog,
-    polylog_rounds_bound,
     rounds_to_precision,
 )
 # The episode engine is imported on first use, so that building inputs and
@@ -95,7 +94,6 @@ __all__ = [
     "next_precision",
     "point_mass",
     "polylog",
-    "polylog_rounds_bound",
     "pseudo_regret",
     "regret_bound",
     "rmax_bound",

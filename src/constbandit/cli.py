@@ -32,7 +32,7 @@ from itertools import product
 from . import envs
 from .bounds import regret_bound, rmax_bound
 from .policies import ConstSpacePolicy, DoublingPolicy, PolicyConfig, make_policy
-from .schedules import GEOMETRIC, Schedule, polylog, polylog_rounds_bound, rounds_to_precision
+from .schedules import GEOMETRIC, Schedule, polylog, rounds_to_precision
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -420,27 +420,21 @@ _GRID_EPSILONS = (0.25, 0.5, 1.0)
 
 
 def schedule_grid_ok(out=None) -> bool:
-    """Deterministic schedule checks: halving counts are exact, poly-log
-    counts respect their closed-form cap over the standard grid."""
+    """Deterministic schedule checks over the standard grid: the steps from g0
+    to each target against ``rmax_bound(2 * target / g0)``, the round-count cap
+    that ``bounds`` prints; halving meets it exactly, poly-log stays within it."""
     ok = True
     cells = 0
     for g0 in _GRID_G0:
         for exp in _GRID_TARGET_EXPONENTS:
             target = 2.0**-exp
-            expected = math.ceil(math.log2(g0 / target))
-            if rounds_to_precision(g0, target, GEOMETRIC) != expected:
-                print(f"geometric count mismatch at g0={g0}, target=2^-{exp}", file=out)
-                ok = False
-            for eps in _GRID_EPSILONS:
-                cells += 1
-                count = rounds_to_precision(g0, target, polylog(eps))
-                cap = polylog_rounds_bound(g0, target, eps)
-                if count > cap:
-                    print(
-                        f"polylog count {count} exceeds cap {cap:.2f} at g0={g0}, target=2^-{exp}, eps={eps}",
-                        file=out,
-                    )
+            for schedule in (GEOMETRIC, *map(polylog, _GRID_EPSILONS)):
+                count = rounds_to_precision(g0, target, schedule)
+                cap = rmax_bound(2.0 * target / g0, schedule)
+                if count != cap if schedule is GEOMETRIC else count > cap:
+                    print(f"{schedule.label()} count {count} against cap {cap} at g0={g0}, target=2^-{exp}", file=out)
                     ok = False
+                cells += schedule is not GEOMETRIC
     print(f"schedule grid: {cells} poly-log cells checked, {'pass' if ok else 'FAIL'}", file=out)
     return ok
 

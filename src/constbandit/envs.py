@@ -16,9 +16,9 @@ a spec into its section, and ``build_preset`` builds a section. An
 instance gives its ``gaps`` and ``delta_min`` as plain floats, which is all
 ``bounds`` reads, so this module imports nothing from it.
 
-numpy is imported when the first bernoulli or beta chunk is drawn, not when
-this module is, so ``import constbandit`` and work that draws no random
-reward (bounds, point-mass episodes) never load it.
+numpy is imported when the first bernoulli or beta chunk is generated, by a
+draw or by a skip, not when this module is, so ``import constbandit`` and
+work that draws no random reward (bounds, point-mass episodes) never load it.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import islice
 from operator import length_hint
 
 _CHUNK = 256
@@ -111,75 +112,65 @@ class BanditInstance:
 class RewardStream:
     """Seeded reward source; ``draw(arm)`` yields the arm's next sample.
 
-    Per arm: [generator, chunk, index into chunk] in ``_buffers``, the
-    chunk a list of Python floats, and an iterator over the rest of the
-    chunk in ``_iters``. ``draw`` on a buffered pull is one ``next`` of
-    that iterator; arm checks and generation happen on the refill path,
-    which an arm with no iterator or an exhausted one takes. The index is
-    read off the iterator, as ``_CHUNK`` less the items it has left; the
-    stored one holds only while the arm has no iterator. ``skip`` drops the
-    iterator and moves the index on, maybe past the chunk; when the arm is
-    next drawn, ``_refill`` jumps a bernoulli arm's generator over the
-    chunks passed over in one ``advance``, so a skip of any length costs
-    one chunk. A beta chunk's sampler consumes a varying number of
-    generator outputs, so a beta arm still generates every chunk passed
-    over. A point arm has no generator: its chunk is rebuilt from its
-    value, so like any arm it reads the buffered chunk on 255 of every 256
-    draws.
+    Per arm: a numpy generator in ``_gens`` (bernoulli and beta arms), and
+    in ``_iters`` an iterator over the rest of its 256-draw chunk, a list
+    of Python floats. The iterator is the only record of the arm's place:
+    its index is ``_CHUNK`` less the items left, and an arm with no
+    iterator sits at the end of a chunk. A buffered ``draw`` is one
+    ``next``; an arm with no iterator or a spent one refills through
+    ``_seek``, as ``skip`` moves it. A seek within the chunk drops items; a
+    seek past it generates the chunk it lands in. A bernoulli generator
+    jumps the chunks passed over in one ``advance``, so a skip of any
+    length costs one chunk; a beta sampler consumes a varying number of
+    generator outputs, so a beta arm generates every chunk passed over. A
+    point arm has no generator and rebuilds its chunk from its value.
     """
 
     def __init__(self, instance: BanditInstance, seed: int):
         self.instance = instance
         self.seed = int(seed)
-        self._buffers: dict[int, list] = {}
+        self._gens = {}  # arm -> numpy generator
         self._iters = {}  # arm -> iterator over the rest of its chunk
 
-    def _park(self, arm: int) -> list:
-        """The arm's state, its index stored and its iterator dropped."""
-        state = self._buffers.setdefault(arm, [None, None, _CHUNK])
-        it = self._iters.pop(arm, None)
-        if it is not None:
-            state[2] = _CHUNK - length_hint(it)
-        return state
-
-    def _refill(self, arm: int) -> list:
-        state = self._park(arm)
+    def _seek(self, arm: int, n: int) -> None:
+        """Move the arm's iterator on by ``n`` pulls."""
+        it = self._iters.get(arm)
+        chunks, i = divmod(_CHUNK - length_hint(it) + n, _CHUNK)
+        if not chunks:
+            next(islice(it, n, n), None)
+            return
         spec = self.instance.arms[arm]
-        chunks, state[2] = divmod(state[2], _CHUNK)
-        if not chunks:  # skipped within the chunk
-            return state
         if spec.kind == "point":
-            state[1] = [spec.a] * _CHUNK
-            return state
-        import numpy as np
-
-        if state[0] is None:
-            seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(arm,))
-            state[0] = np.random.Generator(np.random.PCG64(seq))
-        gen = state[0]
-        if spec.kind == "bernoulli":
-            # ``random`` takes one 64-bit output per double, so advancing
-            # the generator past the skipped chunks leaves it where drawing
-            # them would.
-            if chunks > 1:
-                gen.bit_generator.advance(_CHUNK * (chunks - 1))
-            uniform = gen.random(_CHUNK)
-            state[1] = (uniform < spec.a).astype(np.float64).tolist()
+            chunk = [spec.a] * _CHUNK
         else:
-            for _ in range(chunks):
-                chunk = gen.beta(spec.a, spec.b, size=_CHUNK)
-            state[1] = chunk.tolist()
-        return state
+            import numpy as np
+
+            gen = self._gens.get(arm)
+            if gen is None:
+                seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(arm,))
+                self._gens[arm] = gen = np.random.Generator(np.random.PCG64(seq))
+            if spec.kind == "bernoulli":
+                # ``random`` takes one 64-bit output per double, so advancing
+                # the generator past the skipped chunks leaves it where
+                # drawing them would.
+                if chunks > 1:
+                    gen.bit_generator.advance(_CHUNK * (chunks - 1))
+                chunk = (gen.random(_CHUNK) < spec.a).astype(np.float64).tolist()
+            else:
+                for _ in range(chunks):
+                    sample = gen.beta(spec.a, spec.b, size=_CHUNK)
+                chunk = sample.tolist()
+        self._iters[arm] = it = iter(chunk)
+        next(islice(it, i, i), None)
 
     def draw(self, arm: int) -> float:
         try:
             return next(self._iters[arm])
-        except (KeyError, StopIteration):  # not drawn yet, skipped, chunk spent, or a bad arm
+        except (KeyError, StopIteration):  # not drawn yet, chunk spent, or a bad arm
             pass
         self._check_arm(arm)
-        state = self._refill(arm)
-        self._iters[arm] = it = iter(state[1][state[2]:])
-        return next(it)
+        self._seek(arm, 0)
+        return next(self._iters[arm])
 
     def _check_arm(self, arm: int) -> None:
         if not 0 <= arm < self.instance.n_arms:
@@ -190,7 +181,7 @@ class RewardStream:
         if n < 0:
             raise ValueError("n must be >= 0")
         self._check_arm(arm)
-        self._park(arm)[2] += n
+        self._seek(arm, n)
 
 
 def make_custom(means, kind: str = "bernoulli") -> BanditInstance:

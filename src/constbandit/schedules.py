@@ -100,17 +100,3 @@ def rounds_to_precision(g0: float, target: float, schedule: Schedule) -> int:
             raise RuntimeError("iteration cap exceeded; schedule failed to converge")
     return count
 
-
-def polylog_rounds_bound(g0: float, target: float, epsilon: float) -> float:
-    """Closed-form cap (2/epsilon + 1) * r0 + 2 on poly-log steps to reach target,
-    with r0 = log2(g0/target) / log2(log2(g0/target)). Needs g0 > 2*target so the
-    inner logarithm is positive.
-    """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must lie in (0, 1]")
-    ratio = g0 / target
-    if ratio <= 2.0:
-        raise ValueError("bound needs g0 > 2 * target")
-    log_ratio = math.log2(ratio)
-    r0 = log_ratio / math.log2(log_ratio)
-    return (2.0 / epsilon + 1.0) * r0 + 2.0

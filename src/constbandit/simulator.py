@@ -426,7 +426,8 @@ def run_suite(
     """Full cross-product of cells, each aggregated over its own seed block.
 
     Episode seeds follow ``suite_cells``, so results are independent of
-    ``jobs``. The pool never has more workers than cells or cores.
+    ``jobs``. The pool never has more workers than cells or than the cores
+    this process may run on.
 
     The process pool is imported only when one is built. numpy is imported
     just before, in this process: forked workers inherit it, where each
@@ -439,7 +440,8 @@ def run_suite(
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     cells = suite_cells(policy_configs, instances, horizons, n_seeds, base_seed)
-    workers = min(jobs, len(cells), os.cpu_count() or 1)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, len(cells), cores)
     if workers > 1:
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 

@@ -602,6 +602,35 @@ def test_verify_flags_injected_failure(monkeypatch, capsys):
     assert "round_count_cap" in captured.err
 
 
+@pytest.mark.parametrize(
+    "schedule,count,line",
+    [
+        (polylog(0.5), 19, "polylog(0.5) count 19 against cap 18 at g0=1.0, target=2^-10"),
+        (GEOMETRIC, 9, "geometric count 9 against cap 10 at g0=1.0, target=2^-10"),
+    ],
+    ids=["polylog-over-cap", "geometric-under-cap"],
+)
+def test_verify_fails_on_a_schedule_grid_cell_off_its_cap(monkeypatch, capsys, schedule, count, line):
+    # one grid cell's count patched off its cap: past it for poly-log, short
+    # of it for halving, whose count must equal the cap
+    real = cli.rounds_to_precision
+    cell = (1.0, 2.0**-10, schedule)
+    monkeypatch.setattr(cli, "rounds_to_precision", lambda *a: count if a == cell else real(*a))
+    code = cli.main(
+        [
+            "verify",
+            "--policy", "constspace",
+            "--instance", "custom(means=0.9|0.45,kind=point)",
+            "--T", "300",
+            "--seeds", "1",
+        ]
+    )
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert line in out
+    assert out[-1] == "schedule grid: 126 poly-log cells checked, FAIL"
+
+
 def test_verify_uses_run_seed_rule(monkeypatch, capsys):
     # ucb1 is cell 0 and is skipped; constspace is cell 1, which ``run``
     # gives seeds 5 + 1 * 2 + k.
@@ -785,6 +814,7 @@ class _BrokenPool:
 def test_broken_worker_pool_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _BrokenPool)
     monkeypatch.setattr(simulator.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     argv = ["run", "--policy", "constspace,ucb1", "--T", "50", "--seeds", "1", "--jobs", "2"]
     code = cli.main(argv + ["--out", str(tmp_path)])
     err = capsys.readouterr().err
@@ -871,7 +901,8 @@ def test_parent_loads_numpy_before_forking_the_pool():
     # forked workers inherit the parent's numpy instead of each importing it
     script = (
         "import os\n"
-        "os.cpu_count = lambda: 2  # a pool of two even on a one-core host\n"
+        "os.cpu_count = lambda: 2  # a pool of two even on a one-core host,\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}  # or a process pinned to one core\n"
         "from constbandit import PolicyConfig, make_custom, run_suite\n"
         "cfgs = [PolicyConfig('constspace'), PolicyConfig('ucb1')]\n"
         "run_suite(cfgs, [make_custom([0.9, 0.6])], [50], 1, jobs=2)"

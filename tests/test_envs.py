@@ -233,7 +233,7 @@ def test_skip_on_point_arm_and_bad_count():
     stream = RewardStream(inst, 5)
     stream.skip(0, 1000)
     assert stream.draw(0) == 0.7
-    assert stream._buffers[0][0] is None  # a point arm's chunk needs no generator
+    assert 0 not in stream._gens  # a point arm's chunk needs no generator
     stream.skip(0, 300)
     assert [stream.draw(0) for _ in range(300)] == [0.7] * 300
     with pytest.raises(ValueError):
@@ -263,8 +263,8 @@ def test_bad_arm_raises_before_and_after_buffering():
             stream.draw(bad)
         with pytest.raises(IndexError):
             stream.skip(bad, 2)
-    assert sorted(stream._buffers) == [0, 1, 2]
-    assert stream._buffers[2][0] is None  # the point arm buffers its mass, with no generator
+    assert sorted(stream._iters) == [0, 1, 2]
+    assert sorted(stream._gens) == [0, 1]  # the point arm buffers its mass, with no generator
     stream.skip(2, 1000)
     assert stream.draw(2) == 0.3
 

@@ -11,7 +11,7 @@ from constbandit import (
     Schedule,
     next_precision,
     polylog,
-    polylog_rounds_bound,
+    rmax_bound,
     rounds_to_precision,
 )
 
@@ -118,17 +118,13 @@ def test_polylog_count_meets_example_cap():
 
 
 def test_polylog_rounds_bound_grid():
+    # steps from g0 down to target stay within the round-count cap for a gap of 2 * target / g0
     for g0 in (0.5, 1.0):
         for exponent in range(4, 25):
             target = 2.0**-exponent
             for eps in (0.25, 0.5, 1.0):
                 count = rounds_to_precision(g0, target, polylog(eps))
-                assert count <= polylog_rounds_bound(g0, target, eps)
-
-
-def test_polylog_rounds_bound_rejects_tight_ratio():
-    with pytest.raises(ValueError):
-        polylog_rounds_bound(0.5, 0.3, 0.5)  # g0/target <= 2
+                assert count <= rmax_bound(2.0 * target / g0, polylog(eps))
 
 
 def test_iteration_cap_guards_non_termination(monkeypatch):

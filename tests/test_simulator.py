@@ -737,14 +737,35 @@ class _SerialPool:
     "jobs,cores,expected", [(64, 2, [2]), (64, 100, [3]), (2, 100, [2]), (64, 1, [])]
 )
 def test_run_suite_clamps_pool_size(monkeypatch, jobs, cores, expected):
+    assert _pool_sizes(monkeypatch, jobs, cores, set(range(cores))) == expected
+
+
+@pytest.mark.parametrize(
+    "cpu_count,affinity,expected",
+    [(2, {1}, []), (4, {0, 2}, [2]), (2, None, [2]), (1, None, [])],
+    ids=["one-cpu-of-two", "two-cpus-of-four", "no-affinity-two", "no-affinity-one"],
+)
+def test_run_suite_counts_the_cpus_it_may_run_on(monkeypatch, cpu_count, affinity, expected):
+    # the affinity set bounds the pool where the platform has one; os.cpu_count where not
+    assert _pool_sizes(monkeypatch, 2, cpu_count, affinity) == expected
+
+
+def _pool_sizes(monkeypatch, jobs, cpu_count, affinity):
+    """Pool sizes ``run_suite`` asks for over three cells on a host with
+    ``cpu_count`` CPUs and the given affinity set (None: no affinity call);
+    [] means the cells ran in process."""
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
-    monkeypatch.setattr(simulator.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: cpu_count)
+    if affinity is None:
+        monkeypatch.delattr(simulator.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: affinity, raising=False)
     inst = make_custom([0.9, 0.6])
     cfgs = [PolicyConfig("constspace"), PolicyConfig("doubling"), PolicyConfig("ucb1")]
     reports = run_suite(cfgs, [inst], [50], 1, base_seed=0, jobs=jobs)
-    assert _SerialPool.sizes == expected  # [] means the cells ran in process
     assert [r.error for r in reports] == [None, None, None]
+    return _SerialPool.sizes
 
 
 def test_run_suite_records_cell_failure():
