@@ -173,7 +173,10 @@ class ConstSpacePolicy:
     (n + 1)`` and ``sqrt(log_inv_delta / (2.0 * (n + 1)))``, as long as it
     writes ``n`` (an int), ``mean_cur``, ``radius`` and ``t`` back before it
     hands ``observe`` the pull that rules the arm out or reaches ``budget``,
-    and before it stops. ``run_episode`` does this.
+    and before it stops. It may skip computing the radius on pulls where it
+    has proved that neither test can fire, but the ``radius`` it writes back
+    must be ``observe``'s value for the final ``n``. ``run_episode`` does
+    this.
     """
 
     # Mutable scalar registers retained between steps. Configuration

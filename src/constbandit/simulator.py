@@ -5,8 +5,9 @@ keeps per-arm pull tallies and the round records. It steps the round-based
 policy's CONTINUE pulls itself, with the policy's own expressions for the
 running mean and Hoeffding radius, and flags the clean event (every running
 mean of a round's scan staying within its radius of the arm's true mean,
-which the harness knows) on those values. The conditional guarantees of the
-round-based policy are checked only on clean episodes.
+which the harness knows) on those values, testing only the pulls on which
+interval arithmetic cannot rule a breach out. The conditional guarantees of
+the round-based policy are checked only on clean episodes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from itertools import product
-from math import sqrt
+from math import floor, sqrt
 
 from .bounds import regret_bound, rmax_bound
 from .envs import BanditInstance, RewardStream, make_linear_gaps
@@ -46,6 +47,45 @@ class EpisodeTrace:
     policy_words: int
 
 
+# Rounding allowance per unchecked pull. The loop's recurrence rounds its
+# running mean by at most about 3 * 2**-53 a pull, and ``_next_check``'s own
+# arithmetic, on values below 32, by less than 2**-45 in all.
+_MARGIN = 2.0**-40
+
+
+def _next_check(k, m, rad, reference, half, budget, mu):
+    """The next pull of an arm's scan on which a check can fire, after a
+    checked pull ``k`` (a float count below ``budget``) left running mean
+    ``m`` and radius ``rad = sqrt(half / k)``. ``mu`` is the arm's true mean
+    while the episode is clean, None after. The result is a float count in
+    ``k + 1 .. budget``.
+
+    It returns ``k + j + 1``, for a ``j`` that starts from the first-order
+    slack and is halved until both tests pass at pull ``p = k + j``. That
+    proves no pull ``k + 1 .. k + j`` can fire either check: ``i <= j``
+    more rewards in [0, 1] leave the mean at ``(k * m + S) / (k + i)`` with
+    ``0 <= S <= i``, so within ``i / (k + i) <= j / p`` of ``m`` and at
+    least ``k * m / p``; the computed radius ``sqrt(half / n)`` never grows
+    with ``n``, since division and ``sqrt`` round monotonically; and
+    ``reference`` is fixed within a round. ``j * _MARGIN`` covers the
+    rounding of the loop's recurrence and of the tests below, so a skipped
+    pull is one whose float checks would not have fired.
+    """
+    slack = m + rad - reference
+    if mu is not None:
+        slack = min(slack, rad - abs(m - mu))
+    j = floor(min(k * slack, budget - 1.0 - k))
+    while j > 0:
+        p = k + j
+        r = sqrt(half / p)
+        if k * m / p + r - j * _MARGIN >= reference and (
+            mu is None or abs(m - mu) + j / p + j * _MARGIN <= r
+        ):
+            break
+        j //= 2
+    return k + j + 1.0
+
+
 def run_episode(
     policy_config: PolicyConfig,
     instance: BanditInstance,
@@ -69,14 +109,19 @@ def run_episode(
     segment observes every pull until ``observe`` reports ARM_DONE (its next
     arm differs). A round-based segment draws every pull but applies the
     CONTINUE ones itself, under the caller contract of ``ConstSpacePolicy``:
-    it computes each pull's running mean ``(mean * n + reward) / n1`` and
-    radius ``sqrt((log_inv_delta / 2.0) / n1)``, and on the pull that would
-    rule the arm out or reach its budget writes ``n``, ``mean_cur``,
-    ``radius`` and ``t`` back and hands that reward to ``observe``, which
-    reports the transition or closes the round. A segment that ends at the
-    level's stop writes back and calls nothing. The clean check compares
-    each explore pull's running mean with its radius; an unclean episode
-    checks no further pulls.
+    every pull gets ``observe``'s ``[0, 1]`` reward check and running mean
+    ``(mean * n + reward) / n1``. The radius ``sqrt((log_inv_delta / 2.0) /
+    n1)``, the clean check (running mean against radius) and the test for
+    a rule-out or the budget run only on checked pulls, the first of the
+    segment and each one ``_next_check`` returns; any other pull costs one
+    compare with the next checked pull, and ``_next_check`` proves that no
+    test could fire on it. On the checked pull that rules the arm out or
+    reaches its budget, the segment writes ``n``, ``mean_cur``, ``radius``
+    (``sqrt(half / n)``, once) and ``t`` back and hands that reward to
+    ``observe``, which reports the transition or closes the round. A
+    segment that ends at the level's stop writes back and calls nothing.
+    Once the clean check fails, checked pulls test only the rule-out and
+    the budget.
 
     The segment carries ``n``, ``n1`` and ``budget`` as floats, because
     float-with-float arithmetic is the faster path, and writes ``int(n)``
@@ -142,27 +187,32 @@ def run_episode(
         while t < stop:
             arm, start = select_arm(), t
             if round_based:
-                # CONTINUE pulls are applied here, bit-equal to observe's
-                # values on float counts; the pull that ends the arm goes to observe.
-                mu, mean, radius = instance.means[arm], current.mean_cur, current.radius
+                # CONTINUE pulls are applied here, bit-equal to observe's values on
+                # float counts; only pulls from `check` on can fire a test, and the
+                # pull that ends the arm goes to observe.
+                mu, mean = instance.means[arm], current.mean_cur
                 first, hi = current.n, min(current.budget, current.n + stop - t)
                 n, budget, reference = float(first), float(current.budget), current.reference
                 half = current.log_inv_delta / 2.0
-                last = None
+                last, check = None, n + 1.0
                 for n1 in map(float, range(first + 1, hi + 1)):
                     reward = draw(arm)
                     if not 0.0 <= reward <= 1.0:
                         raise ValueError(f"reward must lie in [0, 1], got {reward!r}")
                     m = (mean * n + reward) / n1
-                    rad = sqrt(half / n1)
-                    if clean and abs(m - mu) > rad:
-                        clean = False
-                    if m + rad < reference or n1 == budget:
-                        last = reward
-                        break
-                    n, mean, radius = n1, m, rad
+                    if n1 >= check:
+                        rad = sqrt(half / n1)
+                        if clean and abs(m - mu) > rad:
+                            clean = False
+                        if m + rad < reference or n1 == budget:
+                            last = reward
+                            break
+                        check = _next_check(n1, m, rad, reference, half, budget, mu if clean else None)
+                    n, mean = n1, m
+                if n > first:
+                    current.radius = sqrt(half / n)
                 n = int(n)
-                current.n, current.mean_cur, current.radius = n, mean, radius
+                current.n, current.mean_cur = n, mean
                 current.t += n - first
                 t += n - first
                 report = CONTINUE

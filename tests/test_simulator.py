@@ -2,12 +2,13 @@ import concurrent.futures
 import hashlib
 import json
 import math
+import random
 from collections import Counter
 from dataclasses import astuple, replace
 from itertools import groupby, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import constbandit.simulator as simulator
@@ -325,6 +326,146 @@ def test_reward_outside_unit_interval_raises(monkeypatch, bad_pull, bad):
     with pytest.raises(ValueError) as expected:
         step_driven(cfg, inst, 12, 0)
     assert str(raised.value) == str(expected.value)
+
+
+def _script_arm_0(monkeypatch, rewards):
+    """Arm 0's i-th draw (from 1) returns ``rewards(i)``; every other arm draws 0.5."""
+
+    def scripted_draw(self, arm):
+        drawn = vars(self).setdefault("scripted_draws", Counter())
+        drawn[arm] += 1
+        return rewards(drawn[arm]) if arm == 0 else 0.5
+
+    monkeypatch.setattr(RewardStream, "draw", scripted_draw)
+
+
+def _breaches(rewards, mu, log_inv_delta, pulls):
+    """Pulls 1..``pulls`` of one arm's scan whose running mean leaves its radius of ``mu``."""
+    mean, out = 0.0, []
+    for n in range(1, pulls + 1):
+        mean = (mean * (n - 1) + rewards(n)) / n
+        if abs(mean - mu) > math.sqrt(log_inv_delta / (2.0 * n)):
+            out.append(n)
+    return out
+
+
+def _burst(zeros, ones, tail=()):
+    """``zeros`` rewards of 0.0, ``ones`` of 1.0, then ``tail``, then 0.0."""
+    script = (0.0,) * zeros + (1.0,) * ones + tuple(tail)
+    return lambda i: script[i - 1] if i <= len(script) else 0.0
+
+
+@pytest.mark.parametrize(
+    "rewards,horizon,breaches",
+    [
+        # 22/61 = 0.361 > 0.337 on pull 61, and the mean is back inside from
+        # 22/71 = 0.310 < 0.312 on pull 71.
+        pytest.param(_burst(40, 22), 222, list(range(61, 71)), id="burst_recovers"),
+        # 27.6/110 = 0.2509 > 0.2506, then a 0.0 on the budget pull gives
+        # 27.6/111 = 0.2486 < 0.2495.
+        pytest.param(_burst(82, 27, (0.6,)), 222, [110], id="budget_pull"),
+        # 23/73 = 0.315 > 0.308 on pull 73, the episode's last.
+        pytest.param(_burst(50, 30), 73, [73], id="level_stop"),
+    ],
+)
+def test_clean_check_runs_on_every_pull_where_it_can_fail(monkeypatch, rewards, horizon, breaches):
+    # Arm 0 has true mean 0 and delta 1e-6 gives round 1 a budget of
+    # ceil(8 ln 1e6) = 111, radius sqrt(ln 1e6 / 2n), so zeros keep arm 0's
+    # scan inside and a run of ones moves it out on pulls between two checks
+    # a doubled check window would make.
+    _script_arm_0(monkeypatch, rewards)
+    cfg = PolicyConfig("constspace", rule=Rule(1e-6))
+    trace = assert_matches_step_driven(cfg, make_custom([0.0, 0.5], kind="point"), horizon, 0)
+    assert _breaches(rewards, 0.0, math.log(1e6), min(horizon, 111)) == breaches
+    assert trace.clean_event is False
+    if horizon > 111:
+        assert trace.round_log[0].pulls == (111, 111)
+
+
+@pytest.mark.parametrize("switch", [150, 200, 250])
+def test_rule_out_lands_on_its_first_pull_after_a_switch_to_zeros(monkeypatch, switch):
+    # Point arms 0.9 and 0.5 under delta 1e-6: round 1 pulls each 111 times
+    # and does not separate, so round 2 has budget 443 and reference about
+    # 0.65. In round 2 arm 0's rewards drop from 0.9 to 0.0 after ``switch``
+    # pulls, the fastest fall a mean can take, and it must be ruled out on
+    # the first pull whose mean plus radius is below the reference.
+    def rewards(i):
+        return 0.9 if i <= 111 + switch else 0.0
+
+    _script_arm_0(monkeypatch, rewards)
+    cfg = PolicyConfig("constspace", rule=Rule(1e-6))
+    trace = assert_matches_step_driven(cfg, make_custom([0.9, 0.5], kind="point"), 1100, 0)
+    first, second = trace.round_log[:2]
+    reference, log_inv_delta = first.mean_best - first.g / 2.0, math.log(1e6)
+    mean, n = 0.0, 0
+    while n == 0 or mean + math.sqrt(log_inv_delta / (2.0 * n)) >= reference:
+        n += 1
+        mean = (mean * (n - 1) + rewards(111 + n)) / n
+    assert second.pulls[0] == n < second.budget == 443
+    assert trace.clean_event is False
+
+
+_RULE_HALVES = st.one_of(
+    st.sampled_from([math.log(1 / 0.9) / 2.0, math.log(2.0) / 2.0, math.log(1e15) / 2.0]),
+    st.floats(-math.log1p(-(2.0**-53)) / 2.0, 372.5),
+)
+
+
+# Two all-0.0 runs against a tight reference whose float recurrence rounds
+# the mean below k * m / p: with no rounding margin the window would end one
+# pull late. The second has a Rule()-sized half, about ln(2000**3) / 2.
+@example(k=78, extra=72, m=0.9979622154389926, half=222.91440679651834, reference_kind="tight",
+         below=0.0, clean=False, toward=0.0, rewards="zeros", seed=0)
+@example(k=1030, extra=35, m=0.9875017723523862, half=11.40937944476882, reference_kind="tight",
+         below=0.0, clean=False, toward=0.0, rewards="zeros", seed=0)
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(1, 3000),
+    extra=st.integers(1, 3000),
+    m=st.floats(0.0, 1.0),
+    half=_RULE_HALVES,
+    reference_kind=st.sampled_from(["-inf", "below", "tight"]),
+    below=st.floats(0.0, 2.0),
+    clean=st.booleans(),
+    toward=st.floats(-1.0, 1.0),
+    rewards=st.sampled_from(["zeros", "ones", "random", "burst"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_no_check_fires_inside_a_check_window(
+    k, extra, m, half, reference_kind, below, clean, toward, rewards, seed
+):
+    # After a checked pull k that fired nothing, replay the loop's own float
+    # recurrence up to the next checked pull: neither the clean check nor the
+    # rule-out may fire before it, whatever rewards in [0, 1] arrive. The
+    # "tight" reference is met with equality, at the window's cap, by the
+    # exact mean of an all-0.0 run.
+    k, budget = float(k), float(k + extra)
+    rad = math.sqrt(half / k)
+    if reference_kind == "-inf":
+        reference = -math.inf
+    elif reference_kind == "below":
+        reference = m + rad - below
+    else:
+        p = budget - 1.0
+        reference = k * m / p + math.sqrt(half / p)
+    mu = min(1.0, max(0.0, m + toward * rad)) if clean else None
+    assume(not m + rad < reference)
+    assume(mu is None or not abs(m - mu) > rad)
+    check = simulator._next_check(k, m, rad, reference, half, budget, mu)
+    assert k + 1.0 <= check <= budget and check == int(check)
+
+    rng = random.Random(seed)
+    fixed = {"zeros": 0.0, "ones": 1.0}.get(rewards)
+    start = rng.randrange(int(check - k))
+    burst = range(start, start + 1 + rng.randrange(int(check - k))) if rewards == "burst" else ()
+    n, mean = k, m
+    for i, n1 in enumerate(map(float, range(int(k) + 1, int(check)))):
+        reward = fixed if fixed is not None else 1.0 if i in burst else rng.random()
+        mean = (mean * n + reward) / n1
+        r = math.sqrt(half / n1)
+        assert mu is None or not abs(mean - mu) > r, n1
+        assert not mean + r < reference, n1
+        n = n1
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
