@@ -4,9 +4,11 @@ Reward streams are indexed by (arm, pull-count): each arm owns an
 independent PCG64 substream derived from SeedSequence(seed, spawn_key=(arm,)),
 so two policies that pull arms in different orders still see identical
 per-arm reward sequences. This keeps cross-policy comparisons
-deterministic and lower-variance. Draws are buffered in fixed chunks of
-256, which pins the exact stream for every arm kind; golden-value tests
-freeze the first draws.
+deterministic and lower-variance. Draws are buffered in chunks of
+``_CHUNK``; the chunk size sets only the cost of a refill and the memory a
+stream holds, not the values, since a bernoulli draw takes one generator
+output and numpy's beta sampler draws one element at a time. Golden-value
+tests freeze the draws at several pull indices.
 
 Instance presets are named by a spec such as ``linear(K=16)`` or
 ``custom(means=0.9|0.6,kind=point)``, or by the same keys in a config
@@ -30,7 +32,8 @@ from functools import cached_property, partial
 from itertools import islice
 from operator import length_hint
 
-_CHUNK = 256
+_CHUNK = 1024
+_SPENT = iter(())  # the iterator of every slot that holds no chunk
 
 
 @dataclass(frozen=True)
@@ -113,28 +116,33 @@ class RewardStream:
     """Seeded reward source; ``draw(arm)`` yields the arm's next sample.
 
     Per arm: a numpy generator in ``_gens`` (bernoulli and beta arms), and
-    in ``_iters`` an iterator over the rest of its 256-draw chunk, a list
-    of Python floats. The iterator is the only record of the arm's place:
-    its index is ``_CHUNK`` less the items left, and an arm with no
-    iterator sits at the end of a chunk. A buffered ``draw`` is one
-    ``next``; an arm with no iterator or a spent one refills through
-    ``_seek``, as ``skip`` moves it. A seek within the chunk drops items; a
-    seek past it generates the chunk it lands in. A bernoulli generator
-    jumps the chunks passed over in one ``advance``, so a skip of any
-    length costs one chunk; a beta sampler consumes a varying number of
-    generator outputs, so a beta arm generates every chunk passed over. A
-    point arm has no generator and rebuilds its chunk from its value.
+    in slot ``arm`` of the list ``_iters`` an iterator over the rest of its
+    1024-draw chunk, a list of Python floats. The iterator is the only
+    record of the arm's place: its index is ``_CHUNK`` less the items left.
+    ``_iters`` has ``2 * n_arms`` slots; every slot that holds no chunk,
+    those of arms not drawn yet and the ``n_arms`` after the last arm, holds
+    the spent ``_SPENT``, so an arm that has no chunk sits at the end of
+    one. A buffered ``draw`` is one list index and one ``next``. A draw
+    from a spent slot or outside the list reaches the range check, which
+    rejects a bad arm (arms ``-n_arms..-1`` index the spent upper half),
+    and a valid arm refills through ``_seek``, as ``skip`` moves it. A
+    seek within the chunk drops items; a seek past it generates the chunk
+    it lands in. A bernoulli generator jumps the chunks passed over in one
+    ``advance``, so a skip of any length costs one chunk; a beta sampler
+    consumes a varying number of generator outputs, so a beta arm
+    generates every chunk passed over. A point arm has no generator and
+    rebuilds its chunk from its value.
     """
 
     def __init__(self, instance: BanditInstance, seed: int):
         self.instance = instance
         self.seed = int(seed)
         self._gens = {}  # arm -> numpy generator
-        self._iters = {}  # arm -> iterator over the rest of its chunk
+        self._iters = [_SPENT] * (2 * instance.n_arms)  # slot arm -> rest of its chunk
 
     def _seek(self, arm: int, n: int) -> None:
         """Move the arm's iterator on by ``n`` pulls."""
-        it = self._iters.get(arm)
+        it = self._iters[arm]
         chunks, i = divmod(_CHUNK - length_hint(it) + n, _CHUNK)
         if not chunks:
             next(islice(it, n, n), None)
@@ -166,7 +174,7 @@ class RewardStream:
     def draw(self, arm: int) -> float:
         try:
             return next(self._iters[arm])
-        except (KeyError, StopIteration):  # not drawn yet, chunk spent, or a bad arm
+        except (IndexError, StopIteration):  # no chunk yet, chunk spent, or a bad arm
             pass
         self._check_arm(arm)
         self._seek(arm, 0)

@@ -479,11 +479,12 @@ def run_suite(
     ``jobs``. The pool never has more workers than cells or than the cores
     this process may run on.
 
-    The process pool is imported only when one is built. numpy is imported
-    just before, in this process: forked workers inherit it, where each
-    would otherwise import it on its first draw, about 0.1 s a worker. Pool
-    workers load ``statistics`` on their first cell. A pool whose worker
-    dies is reported as an OSError.
+    The process pool is imported only when one is built. numpy and
+    ``numpy.random``, which ``import numpy`` does not load, are imported
+    just before, in this process: forked workers inherit them, where each
+    would otherwise import them on its first draw. Pool workers load
+    ``statistics`` on their first cell. A pool whose worker dies is
+    reported as an OSError.
     """
     if not policy_configs or not instances or not horizons:
         raise ValueError("policies, instances and horizons must be non-empty")
@@ -495,7 +496,7 @@ def run_suite(
     if workers > 1:
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-        import numpy  # noqa: F401  (loaded once here, inherited by the workers)
+        import numpy.random  # noqa: F401  (loaded once here, inherited by the workers)
 
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -898,7 +898,8 @@ def test_package_serves_the_simulator_names_on_first_use():
 
 
 def test_parent_loads_numpy_before_forking_the_pool():
-    # forked workers inherit the parent's numpy instead of each importing it
+    # forked workers inherit the parent's numpy, and its random module, which
+    # `import numpy` does not load, instead of each importing them
     script = (
         "import os\n"
         "os.cpu_count = lambda: 2  # a pool of two even on a one-core host,\n"
@@ -907,7 +908,8 @@ def test_parent_loads_numpy_before_forking_the_pool():
         "cfgs = [PolicyConfig('constspace'), PolicyConfig('ucb1')]\n"
         "run_suite(cfgs, [make_custom([0.9, 0.6])], [50], 1, jobs=2)"
     )
-    assert _loaded_after(script) == set(_HEAVY)
+    modules = (*_HEAVY, "numpy.random")
+    assert _loaded_after(script, modules) == set(modules)
 
 
 def test_memaudit_rejects_small_K(capsys):

@@ -1,4 +1,5 @@
 import math
+from operator import length_hint
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from constbandit import (
     make_two_group,
     point_mass,
 )
+from constbandit.envs import _CHUNK
 
 
 def test_arm_means_and_validation():
@@ -140,9 +142,9 @@ def test_golden_stream_values():
 
 @pytest.mark.parametrize("arm", [bernoulli(0.3), beta_arm(2.0, 5.0)], ids=["bernoulli", "beta"])
 @pytest.mark.parametrize("drawn_before", [0, 3])
-@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 1000])
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 1000, _CHUNK - 4, _CHUNK - 3, _CHUNK + 1, 3 * _CHUNK])
 def test_skip_leaves_stream_where_draws_would(arm, drawn_before, n):
-    # skip moves the pull index, possibly past the 256-draw chunk; the next
+    # skip moves the pull index, possibly past the arm's chunk; the next
     # draw must still be the one a fresh stream yields after as many draws
     inst = BanditInstance((arm,), "x")
     expected = RewardStream(inst, 7)
@@ -157,7 +159,7 @@ def test_skip_leaves_stream_where_draws_would(arm, drawn_before, n):
 def test_long_skip_leaves_stream_where_draws_would(arm):
     # a skip over 2000 whole chunks: a bernoulli arm's generator advances
     # over them in one jump, a beta arm's generates each of them
-    n = 256 * 2000 + 17
+    n = _CHUNK * 2000 + 17
     inst = BanditInstance((arm,), "x")
     stepped = RewardStream(inst, 11)
     for _ in range(n):
@@ -177,7 +179,7 @@ _STREAM_OPS = st.lists(
     st.tuples(
         st.integers(0, _MIXED.n_arms - 1),
         st.sampled_from(["draw", "skip", "edge"]),
-        st.one_of(st.integers(0, 3), st.integers(1, 255), st.integers(256, 1100)),
+        st.one_of(st.integers(0, 3), st.integers(1, _CHUNK - 1), st.integers(_CHUNK, 2 * _CHUNK + 100)),
     ),
     max_size=12,
 )
@@ -198,7 +200,7 @@ def test_interleaved_draw_and_skip_match_a_drawing_stream(ops, seed):
     stream, drawing = RewardStream(_MIXED, seed), RewardStream(_MIXED, seed)
     pulls = [0] * _MIXED.n_arms
     for arm, action, amount in ops:
-        n = -pulls[arm] % 256 + 256 * (amount % 4) if action == "edge" else amount
+        n = -pulls[arm] % _CHUNK + _CHUNK * (amount % 4) if action == "edge" else amount
         if action == "draw":
             assert [stream.draw(arm) for _ in range(n)] == [drawing.draw(arm) for _ in range(n)]
         else:
@@ -220,10 +222,10 @@ def test_huge_bernoulli_skip_matches_advanced_generator():
     # the skip are those of an independently built and advanced PCG64
     p, seed, chunks = 0.5, 3, 10**12
     stream = RewardStream(make_custom([0.9, p]), seed)
-    stream.skip(1, 256 * chunks + 5)
+    stream.skip(1, _CHUNK * chunks + 5)
     got = [stream.draw(1) for _ in range(300)]
     bit_generator = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-    bit_generator.advance(256 * chunks)
+    bit_generator.advance(_CHUNK * chunks)
     uniform = np.random.Generator(bit_generator).random(512)
     assert got == (uniform[5:305] < p).astype(np.float64).tolist()
 
@@ -250,28 +252,71 @@ def test_draw_returns_python_float():
 def test_bad_arm_raises_before_and_after_buffering():
     # The range check sits on the refill path; an arm that was never
     # buffered must reach it however many draws the valid arms have made.
+    # Arms -K..-1 index the spent upper half of the 2K slots, 2K and -2K - 1
+    # fall outside the list.
     inst = BanditInstance((bernoulli(0.5), beta_arm(2.0, 5.0), point_mass(0.3)), "mix")
+    K = inst.n_arms
+    bad_arms = (-1, -K, K, 2 * K - 1, 2 * K, -2 * K - 1)
     stream = RewardStream(inst, 3)
-    for bad in (-1, -3, 3, 10):
-        with pytest.raises(IndexError):
+    for bad in bad_arms:
+        with pytest.raises(IndexError, match=f"arm {bad} out of range"):
             stream.draw(bad)
-    for arm in range(inst.n_arms):
+        with pytest.raises(IndexError, match=f"arm {bad} out of range"):
+            stream.skip(bad, 2)
+    for arm in range(K):
         for _ in range(5):
             stream.draw(arm)
-    for bad in (-1, -3, 3, 10):
-        with pytest.raises(IndexError):
+    for bad in bad_arms:
+        with pytest.raises(IndexError, match=f"arm {bad} out of range"):
             stream.draw(bad)
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=f"arm {bad} out of range"):
             stream.skip(bad, 2)
-    assert sorted(stream._iters) == [0, 1, 2]
+    # each arm's slot holds the rest of its chunk, every other slot is spent
+    assert [length_hint(it) for it in stream._iters] == [_CHUNK - 5] * K + [0] * K
     assert sorted(stream._gens) == [0, 1]  # the point arm buffers its mass, with no generator
     stream.skip(2, 1000)
     assert stream.draw(2) == 0.3
 
 
-# Pull index -> reward for seed 42, recorded from the numpy-array chunk
-# buffer that preceded the list-backed one. The indices straddle the 256-draw
-# chunk boundaries and the gap from 1024 to 1099 spans no boundary.
+# (action, n) over one arm's pulls: draws across the chunk edges at
+# _CHUNK, 2 * _CHUNK and 5 * _CHUNK, skips that land just short of an edge,
+# past two edges, and exactly on 6 * _CHUNK, then draws from there.
+_EDGE_PLAN = (
+    ("draw", _CHUNK - 3), ("draw", 6), ("skip", _CHUNK - 6), ("draw", 4),
+    ("skip", 2 * _CHUNK + 5), ("draw", _CHUNK), ("skip", _CHUNK - 6), ("draw", 3),
+)
+
+
+@pytest.mark.parametrize(
+    "arm",
+    [bernoulli(0.3), beta_arm(2.0, 3.0), beta_arm(0.5, 0.7), beta_arm(0.3, 5.0), beta_arm(1.0, 1.0)],
+    ids=["bernoulli", "beta(2,3)", "beta(.5,.7)", "beta(.3,5)", "beta(1,1)"],
+)
+def test_draws_and_skips_across_chunk_edges_match_numpy(arm):
+    # The oracle calls numpy directly on the arm's substream, all at once,
+    # so a draw dropped or repeated at any chunk edge shifts what follows.
+    seed, index = 19, 1
+    inst = BanditInstance((point_mass(0.5), arm), "edges")
+    total = sum(n for _, n in _EDGE_PLAN)
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
+    if arm.kind == "bernoulli":
+        oracle = (gen.random(total) < arm.a).astype(np.float64).tolist()
+    else:
+        oracle = gen.beta(arm.a, arm.b, size=total).tolist()
+    stream = RewardStream(inst, seed)
+    pull = 0
+    for action, n in _EDGE_PLAN:
+        if action == "draw":
+            assert [stream.draw(index) for _ in range(n)] == oracle[pull : pull + n], pull
+        else:
+            stream.skip(index, n)
+        pull += n
+
+
+# Pull index -> reward for seed 42, recorded from the numpy-array buffer of
+# 256-draw chunks that preceded the list-backed one. The indices straddle
+# that buffer's chunk edges and the 1024-draw chunks' first edge, so they
+# also pin that the chunk size does not change the stream.
 _GOLDEN_PULLS = (0, 1, 254, 255, 256, 257, 511, 512, 513, 767, 768, 1023, 1024, 1099)
 _GOLDEN_BERNOULLI = (0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 _GOLDEN_BETA = (
