@@ -33,7 +33,7 @@ from itertools import islice
 from operator import length_hint
 
 _CHUNK = 1024
-_SPENT = iter(())  # the iterator of every slot that holds no chunk
+_SPENT = iter(())  # the iterator of every arm not drawn yet
 
 
 @dataclass(frozen=True)
@@ -119,17 +119,15 @@ class RewardStream:
     in slot ``arm`` of the list ``_iters`` an iterator over the rest of its
     1024-draw chunk, a list of Python floats. The iterator is the only
     record of the arm's place: its index is ``_CHUNK`` less the items left.
-    ``_iters`` has ``2 * n_arms`` slots; every slot that holds no chunk,
-    those of arms not drawn yet and the ``n_arms`` after the last arm, holds
-    the spent ``_SPENT``, so an arm that has no chunk sits at the end of
-    one. A buffered ``draw`` is one list index and one ``next``. A draw
-    from a spent slot or outside the list reaches the range check, which
-    rejects a bad arm (arms ``-n_arms..-1`` index the spent upper half),
-    and a valid arm refills through ``_seek``, as ``skip`` moves it. A
-    seek within the chunk drops items; a seek past it generates the chunk
-    it lands in. A bernoulli generator jumps the chunks passed over in one
-    ``advance``, so a skip of any length costs one chunk; a beta sampler
-    consumes a varying number of generator outputs, so a beta arm
+    The slot of an arm not drawn yet holds the spent ``_SPENT``, so the arm
+    sits at the end of a chunk. A buffered ``draw`` of an arm ``>= 0`` is
+    one compare, one list index and one ``next``. A negative arm, an arm
+    past the list and a spent slot reach the range check, which rejects a
+    bad arm, and a valid arm refills through ``_seek``, as ``skip`` moves
+    it. A seek within the chunk drops items; a seek past it generates the
+    chunk it lands in. A bernoulli generator jumps the chunks passed over
+    in one ``advance``, so a skip of any length costs one chunk; a beta
+    sampler consumes a varying number of generator outputs, so a beta arm
     generates every chunk passed over. A point arm has no generator and
     rebuilds its chunk from its value.
     """
@@ -138,7 +136,7 @@ class RewardStream:
         self.instance = instance
         self.seed = int(seed)
         self._gens = {}  # arm -> numpy generator
-        self._iters = [_SPENT] * (2 * instance.n_arms)  # slot arm -> rest of its chunk
+        self._iters = [_SPENT] * instance.n_arms  # slot arm -> rest of its chunk
 
     def _seek(self, arm: int, n: int) -> None:
         """Move the arm's iterator on by ``n`` pulls."""
@@ -172,10 +170,11 @@ class RewardStream:
         next(islice(it, i, i), None)
 
     def draw(self, arm: int) -> float:
-        try:
-            return next(self._iters[arm])
-        except (IndexError, StopIteration):  # no chunk yet, chunk spent, or a bad arm
-            pass
+        if arm >= 0:  # a negative index would read a real arm's slot from the end
+            try:
+                return next(self._iters[arm])
+            except (IndexError, StopIteration):  # no chunk yet, chunk spent, or past the list
+                pass
         self._check_arm(arm)
         self._seek(arm, 0)
         return next(self._iters[arm])

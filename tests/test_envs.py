@@ -252,11 +252,11 @@ def test_draw_returns_python_float():
 def test_bad_arm_raises_before_and_after_buffering():
     # The range check sits on the refill path; an arm that was never
     # buffered must reach it however many draws the valid arms have made.
-    # Arms -K..-1 index the spent upper half of the 2K slots, 2K and -2K - 1
-    # fall outside the list.
+    # A negative arm would index a real arm's slot from the end of the
+    # list, or fall off it, and must never read that arm's rewards.
     inst = BanditInstance((bernoulli(0.5), beta_arm(2.0, 5.0), point_mass(0.3)), "mix")
     K = inst.n_arms
-    bad_arms = (-1, -K, K, 2 * K - 1, 2 * K, -2 * K - 1)
+    bad_arms = (-1, -K, -K - 1, -2 * K, -2 * K - 1, K, 2 * K - 1, 2 * K)
     stream = RewardStream(inst, 3)
     for bad in bad_arms:
         with pytest.raises(IndexError, match=f"arm {bad} out of range"):
@@ -271,8 +271,8 @@ def test_bad_arm_raises_before_and_after_buffering():
             stream.draw(bad)
         with pytest.raises(IndexError, match=f"arm {bad} out of range"):
             stream.skip(bad, 2)
-    # each arm's slot holds the rest of its chunk, every other slot is spent
-    assert [length_hint(it) for it in stream._iters] == [_CHUNK - 5] * K + [0] * K
+    # the bad arms moved no stream: each slot holds the rest of its chunk
+    assert [length_hint(it) for it in stream._iters] == [_CHUNK - 5] * K
     assert sorted(stream._gens) == [0, 1]  # the point arm buffers its mass, with no generator
     stream.skip(2, 1000)
     assert stream.draw(2) == 0.3
