@@ -3,7 +3,10 @@
 All policies sit behind one interface: ``select_arm()`` is a pure read
 returning the arm to pull next, ``observe(reward)`` consumes the reward of
 that arm and returns a transition report, ``state_words()`` counts the
-machine-word registers retained between steps.
+machine-word registers retained between steps. The constant-space and
+UCB1 policies also own a segment kernel, ``scan(arm, draw, limit, mu)``,
+that pulls one arm until its scan ends, applying the CONTINUE pulls it can
+prove itself and handing ``observe`` the rest.
 
 The round-based constant-space policy scans arms one at a time at a target
 half-width ``g``, keeping only the best and second-best round means plus
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from math import log, sqrt
+from math import floor, log, sqrt
 
 from .confidence import Rule, round_budget
 from .schedules import GEOMETRIC, Schedule, next_precision
@@ -133,6 +136,45 @@ def _state_words(policy, scalars_only: bool = False) -> int:
     return words
 
 
+# Rounding allowance per unchecked pull. The scan's recurrence rounds its
+# running mean by at most about 3 * 2**-53 a pull, and ``_next_check``'s own
+# arithmetic, on values below 32, by less than 2**-45 in all.
+_MARGIN = 2.0**-40
+
+
+def _next_check(k, m, rad, reference, half, budget, mu):
+    """The next pull of an arm's scan on which a check can fire, after a
+    checked pull ``k`` (a float count below ``budget``) left running mean
+    ``m`` and radius ``rad = sqrt(half / k)``. ``mu`` is the arm's true mean
+    while the episode is clean, None after. The result is a float count in
+    ``k + 1 .. budget``.
+
+    It returns ``k + j + 1``, for a ``j`` that starts from the first-order
+    slack and is halved until both tests pass at pull ``p = k + j``. That
+    proves no pull ``k + 1 .. k + j`` can fire either check: ``i <= j``
+    more rewards in [0, 1] leave the mean at ``(k * m + S) / (k + i)`` with
+    ``0 <= S <= i``, so within ``i / (k + i) <= j / p`` of ``m`` and at
+    least ``k * m / p``; the computed radius ``sqrt(half / n)`` never grows
+    with ``n``, since division and ``sqrt`` round monotonically; and
+    ``reference`` is fixed within a round. ``j * _MARGIN`` covers the
+    rounding of the scan's recurrence and of the tests below, so a skipped
+    pull is one whose float checks would not have fired.
+    """
+    slack = m + rad - reference
+    if mu is not None:
+        slack = min(slack, rad - abs(m - mu))
+    j = floor(min(k * slack, budget - 1.0 - k))
+    while j > 0:
+        p = k + j
+        r = sqrt(half / p)
+        if k * m / p + r - j * _MARGIN >= reference and (
+            mu is None or abs(m - mu) + j / p + j * _MARGIN <= r
+        ):
+            break
+        j //= 2
+    return k + j + 1.0
+
+
 class ConstSpacePolicy:
     """Round-based UCB holding a constant number of scalar registers.
 
@@ -175,8 +217,7 @@ class ConstSpacePolicy:
     hands ``observe`` the pull that rules the arm out or reaches ``budget``,
     and before it stops. It may skip computing the radius on pulls where it
     has proved that neither test can fire, but the ``radius`` it writes back
-    must be ``observe``'s value for the final ``n``. ``run_episode`` does
-    this.
+    must be ``observe``'s value for the final ``n``. ``scan`` does this.
     """
 
     # Mutable scalar registers retained between steps. Configuration
@@ -277,6 +318,66 @@ class ConstSpacePolicy:
         if n < self.budget:
             return CONTINUE
         return self._finish_arm(False)
+
+    def scan(self, arm, draw, limit, mu):
+        """Pull ``arm``, the one ``select_arm`` returned while exploring, from
+        ``draw(arm)`` until its scan ends or ``limit`` pulls are served.
+        ``mu`` is the arm's true mean while the episode is clean, None after.
+        Returns the pulls served, the report of the last (CONTINUE if the
+        limit ended the scan) and whether the clean check still holds.
+
+        The CONTINUE pulls are applied here, under the caller contract above:
+        every pull gets ``observe``'s ``[0, 1]`` reward check and running mean
+        ``(mean * n + reward) / n1``. The radius ``sqrt((log_inv_delta / 2.0)
+        / n1)``, the clean check (running mean against radius) and the test
+        for a rule-out or the budget run only on checked pulls, the first of
+        the scan and each one ``_next_check`` returns; any other pull costs
+        one compare with the next checked pull, and ``_next_check`` proves
+        that no test could fire on it. On the checked pull that rules the arm
+        out or reaches its budget, the scan writes ``n``, ``mean_cur``,
+        ``radius`` (``sqrt(half / n)``, once) and ``t`` back and hands that
+        reward to ``observe``, which reports the transition or closes the
+        round. A scan that ends at the limit writes back and calls nothing.
+        Once the clean check fails, checked pulls test only the rule-out and
+        the budget.
+
+        The scan carries ``n``, ``n1`` and ``budget`` as floats, because
+        float-with-float arithmetic is the faster path, and writes ``int(n)``
+        back. The values are those of ``observe``'s int counts, bit for bit:
+        a count is at most the pulls stepped, an integer below 2**53, which
+        converts to float exactly, and ``observe``'s mixed int-float
+        arithmetic converts its int count the same way. A budget of 2**53 or
+        more equals no reachable count, whether compared as an int or as a
+        float. Halving ``log_inv_delta`` is exact too, so ``(L / 2.0) / n1``
+        rounds the same real number as ``observe``'s ``L / (2.0 * n1)``.
+        """
+        clean, mean = mu is not None, self.mean_cur
+        first, hi = self.n, min(self.budget, self.n + limit)
+        n, budget, reference = float(first), float(self.budget), self.reference
+        half = self.log_inv_delta / 2.0
+        last, check = None, n + 1.0
+        for n1 in map(float, range(first + 1, hi + 1)):
+            reward = draw(arm)
+            if not 0.0 <= reward <= 1.0:
+                raise ValueError(f"reward must lie in [0, 1], got {reward!r}")
+            m = (mean * n + reward) / n1
+            if n1 >= check:
+                rad = sqrt(half / n1)
+                if clean and abs(m - mu) > rad:
+                    clean = False
+                if m + rad < reference or n1 == budget:
+                    last = reward
+                    break
+                check = _next_check(n1, m, rad, reference, half, budget, mu if clean else None)
+            n, mean = n1, m
+        if n > first:
+            self.radius = sqrt(half / n)
+        n = int(n)
+        self.n, self.mean_cur = n, mean
+        self.t += n - first
+        if last is None:
+            return n - first, CONTINUE, clean
+        return n - first + 1, self.observe(last), clean
 
     def _finish_arm(self, ruled_out: bool):
         if not ruled_out:
@@ -440,6 +541,17 @@ class Ucb1Policy:
     expired window run the loop, whose strict compare keeps the lowest-id
     tie-break. Keeps 2K + 6 words of state: the two tables, ``t``, the
     stored next arm, ``rival``, ``bound``, ``bound2`` and ``until``.
+
+    Caller contract: a pull with ``n_arms <= t <= until`` that reports
+    CONTINUE because its index is strictly above ``bound`` changes only
+    ``t`` and the pulled arm's ``counts`` and ``means`` entries. So a caller may apply such pulls
+    itself, with ``observe``'s ``[0, 1]`` reward check and values bit-equal
+    to its expressions ``(means[arm] * n + reward) / (n + 1)`` and
+    ``mean + sqrt(2.0 * log(t) / (n + 1))``, as long as it writes
+    ``counts[arm]`` (an int), ``means[arm]`` and ``t`` back before it hands
+    ``observe`` any other pull, and before it stops. It may test a pull
+    against a smaller index that implies ``observe``'s test, as long as a
+    pull that fails it goes to ``observe``. ``scan`` does this.
     """
 
     WINDOW = 64  # steps a bound is valid for; any value >= 1 gives the same arms
@@ -506,6 +618,67 @@ class Ucb1Policy:
                     bound2 = later
         self.arm, self.rival, self.bound, self.bound2, self.until = best, rival, bound, bound2, until
         return CONTINUE if best == arm else ARM_DONE
+
+    def scan(self, arm, draw, limit, mu):
+        """Pull ``arm``, the one ``select_arm`` returned, from ``draw(arm)``
+        until ``observe`` reports ARM_DONE or ``limit`` pulls are served.
+        Returns the pulls served, the report of the last (CONTINUE if the
+        limit ended the run) and False: UCB1 has no clean event, so ``mu`` is
+        not read.
+
+        While ``n_arms <= t < until``, the next pull ``t1 = t + 1`` takes
+        ``observe``'s windowed path. If the arm's index before it, ``mean +
+        sqrt(c0 / n)`` with ``c0 = 2.0 * log(t1)``, is above ``bound``, the
+        scan applies a stretch of pulls in locals under the caller contract
+        above: one ``draw``, the ``[0, 1]`` check and the recurrence ``(mean
+        * n + reward) / n1`` a pull, on float counts, then the test ``m +
+        sqrt(c0 / n1) > bound``. It writes ``counts[arm]`` (an int),
+        ``means[arm]`` and ``t`` back, and the pull that fails the test goes
+        to ``observe``, which recomputes it exactly. So do the first
+        ``n_arms`` pulls, any after ``until``, and a pull whose arm's index
+        was already at or below ``bound``, which would most likely fail the
+        test after a stretch's setup.
+
+        The test is exact. The counts and the recurrence are ``observe``'s,
+        bit for bit, for the reasons ``ConstSpacePolicy.scan`` gives: counts
+        stay below 2**53. ``log`` is non-decreasing on integers: below 2**44
+        two consecutive ones differ by more than 16 ulps of their ``log``,
+        far beyond any libm's error, and a Hypothesis test checks the rest
+        up to 2**53. ``* 2.0`` is exact, and ``/``, ``sqrt`` and ``+`` round
+        monotonically. So at any pull ``t >= t1`` of the stretch ``m +
+        sqrt(c0 / n1)`` is at most ``observe``'s index ``m + sqrt(2.0 *
+        log(t) / n1)``, and a pull that passes the test is one that
+        ``observe`` would report CONTINUE on its first compare. A stretch
+        ends by ``until``, so every pull in it has ``t <= until``.
+        """
+        observe, counts, means, n_arms = self.observe, self.counts, self.means, self.n_arms
+        served = 0
+        while served < limit:
+            t, first = self.t, counts[arm]
+            n, mean, bound, c0 = float(first), means[arm], self.bound, 2.0 * log(t + 1)
+            if n_arms <= t < self.until and mean + sqrt(c0 / n) > bound:
+                for n1 in map(float, range(first + 1, first + 1 + min(self.until - t, limit - served))):
+                    reward = draw(arm)
+                    if not 0.0 <= reward <= 1.0:
+                        raise ValueError(f"reward must lie in [0, 1], got {reward!r}")
+                    m = (mean * n + reward) / n1
+                    if not m + sqrt(c0 / n1) > bound:
+                        break
+                    n, mean = n1, m
+                else:
+                    reward = None
+                if n > first:
+                    counts[arm], means[arm], self.t = int(n), mean, t + int(n) - first
+                    served += int(n) - first
+                if reward is None:
+                    continue
+            else:
+                reward = draw(arm)
+            report = observe(reward)
+            served += 1
+            if report is not CONTINUE:
+                return served, report, False
+        return served, CONTINUE, False
 
     def state_words(self) -> int:
         return _state_words(self)

@@ -1,13 +1,14 @@
 """Episode runner, pseudo-regret ledger, guarantee checks and memory audit.
 
 The harness, unlike the policies it drives, is allowed O(K) memory: it
-keeps per-arm pull tallies and the round records. It steps the round-based
-policy's CONTINUE pulls itself, with the policy's own expressions for the
-running mean and Hoeffding radius, and flags the clean event (every running
-mean of a round's scan staying within its radius of the arm's true mean,
-which the harness knows) on those values, testing only the pulls on which
-interval arithmetic cannot rule a breach out. The conditional guarantees of
-the round-based policy are checked only on clean episodes.
+keeps per-arm pull tallies and the round records. Each policy applies its
+own pulls through its ``scan`` kernel; the harness hands a round-based
+policy's kernel the arm's true mean, which only the harness knows, and the
+kernel flags the clean event (every running mean of a round's scan staying
+within its radius of the arm's true mean) with the policy's own running
+mean and Hoeffding radius, testing only the pulls on which interval
+arithmetic cannot rule a breach out. The conditional guarantees of the
+round-based policy are checked only on clean episodes.
 """
 
 from __future__ import annotations
@@ -16,13 +17,11 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from itertools import product
-from math import floor, sqrt
 
 from .bounds import regret_bound, rmax_bound
 from .envs import BanditInstance, RewardStream, make_linear_gaps
 from .policies import (
     COMMITTED,
-    CONTINUE,
     ConstSpacePolicy,
     DoublingPolicy,
     PolicyConfig,
@@ -47,45 +46,6 @@ class EpisodeTrace:
     policy_words: int
 
 
-# Rounding allowance per unchecked pull. The loop's recurrence rounds its
-# running mean by at most about 3 * 2**-53 a pull, and ``_next_check``'s own
-# arithmetic, on values below 32, by less than 2**-45 in all.
-_MARGIN = 2.0**-40
-
-
-def _next_check(k, m, rad, reference, half, budget, mu):
-    """The next pull of an arm's scan on which a check can fire, after a
-    checked pull ``k`` (a float count below ``budget``) left running mean
-    ``m`` and radius ``rad = sqrt(half / k)``. ``mu`` is the arm's true mean
-    while the episode is clean, None after. The result is a float count in
-    ``k + 1 .. budget``.
-
-    It returns ``k + j + 1``, for a ``j`` that starts from the first-order
-    slack and is halved until both tests pass at pull ``p = k + j``. That
-    proves no pull ``k + 1 .. k + j`` can fire either check: ``i <= j``
-    more rewards in [0, 1] leave the mean at ``(k * m + S) / (k + i)`` with
-    ``0 <= S <= i``, so within ``i / (k + i) <= j / p`` of ``m`` and at
-    least ``k * m / p``; the computed radius ``sqrt(half / n)`` never grows
-    with ``n``, since division and ``sqrt`` round monotonically; and
-    ``reference`` is fixed within a round. ``j * _MARGIN`` covers the
-    rounding of the loop's recurrence and of the tests below, so a skipped
-    pull is one whose float checks would not have fired.
-    """
-    slack = m + rad - reference
-    if mu is not None:
-        slack = min(slack, rad - abs(m - mu))
-    j = floor(min(k * slack, budget - 1.0 - k))
-    while j > 0:
-        p = k + j
-        r = sqrt(half / p)
-        if k * m / p + r - j * _MARGIN >= reference and (
-            mu is None or abs(m - mu) + j / p + j * _MARGIN <= r
-        ):
-            break
-        j //= 2
-    return k + j + 1.0
-
-
 def run_episode(
     policy_config: PolicyConfig,
     instance: BanditInstance,
@@ -105,43 +65,23 @@ def run_episode(
     step-equivalent.
 
     A level is stepped in arm segments. Each segment selects an arm once,
-    then draws it until the arm's scan ends or the level stops. UCB1's
-    segment observes every pull until ``observe`` reports ARM_DONE (its next
-    arm differs). A round-based segment draws every pull but applies the
-    CONTINUE ones itself, under the caller contract of ``ConstSpacePolicy``:
-    every pull gets ``observe``'s ``[0, 1]`` reward check and running mean
-    ``(mean * n + reward) / n1``. The radius ``sqrt((log_inv_delta / 2.0) /
-    n1)``, the clean check (running mean against radius) and the test for
-    a rule-out or the budget run only on checked pulls, the first of the
-    segment and each one ``_next_check`` returns; any other pull costs one
-    compare with the next checked pull, and ``_next_check`` proves that no
-    test could fire on it. On the checked pull that rules the arm out or
-    reaches its budget, the segment writes ``n``, ``mean_cur``, ``radius``
-    (``sqrt(half / n)``, once) and ``t`` back and hands that reward to
-    ``observe``, which reports the transition or closes the round. A
-    segment that ends at the level's stop writes back and calls nothing.
-    Once the clean check fails, checked pulls test only the rule-out and
-    the budget.
+    checks that it is one of the instance's arms, and hands it to the
+    policy's ``scan(arm, draw, limit, mu)`` kernel with the pulls left
+    before the level stops. The kernel draws every pull once, applies the
+    CONTINUE pulls under its policy's caller contract and hands the pull
+    that ends the arm's scan to ``observe``; it returns the pulls served,
+    that report and the clean flag. ``mu`` is the arm's true mean while the
+    episode is clean, None after (UCB1's never is).
 
-    The segment carries ``n``, ``n1`` and ``budget`` as floats, because
-    float-with-float arithmetic is the faster path, and writes ``int(n)``
-    back. The values are those of ``observe``'s int counts, bit for bit:
-    a count is at most the pulls stepped, an integer below 2**53, which
-    converts to float exactly, and ``observe``'s mixed int-float
-    arithmetic converts its int count the same way. A budget of 2**53 or
-    more equals no reachable count, whether compared as an int or as a
-    float. Halving ``log_inv_delta`` is exact too, so ``(L / 2.0) / n1``
-    rounds the same real number as ``observe``'s ``L / (2.0 * n1)``.
-
-    The per-pull loop keeps no regret state: ``settle`` books each stepped
+    The kernels keep no regret state: ``settle`` books each stepped
     segment and each committed skip once, adding its pulls to the tallies
     and the action log and recording each checkpoint (t = 1, 2, 4, ... and
     the horizon) it passes as the pseudo-regret of the tallies at that tick,
-    so the last one equals ``pseudo_regret`` exactly. A round scans each arm
-    once, in index order, so a segment is the arm's pulls in the round: its
-    length is the record's per-arm tally, and ``r_max_observed`` is the
-    largest ``r - 1`` over the records. UCB1 has no rounds, so its trace
-    reports the clean event and ``r_max_observed`` as None.
+    so the last one equals ``pseudo_regret`` exactly. A round record's
+    per-arm pulls are the round's own tallies, ``tally[arm] += served`` per
+    segment, and ``r_max_observed`` is the largest ``r - 1`` over the
+    records. UCB1 has no rounds, so its trace reports the clean event and
+    ``r_max_observed`` as None.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -181,59 +121,22 @@ def run_episode(
             stop = level_end if current.exploring else t
         else:
             stop = level_end = horizon
-        scanned: list[int] = []  # pulls of each arm scanned in the current round
+        tally = [0] * n_arms  # pulls of each arm in the current round
 
-        select_arm, observe = current.select_arm, current.observe
+        select_arm, scan = current.select_arm, current.scan
         while t < stop:
             arm, start = select_arm(), t
-            if round_based:
-                # CONTINUE pulls are applied here, bit-equal to observe's values on
-                # float counts; only pulls from `check` on can fire a test, and the
-                # pull that ends the arm goes to observe.
-                mu, mean = instance.means[arm], current.mean_cur
-                first, hi = current.n, min(current.budget, current.n + stop - t)
-                n, budget, reference = float(first), float(current.budget), current.reference
-                half = current.log_inv_delta / 2.0
-                last, check = None, n + 1.0
-                for n1 in map(float, range(first + 1, hi + 1)):
-                    reward = draw(arm)
-                    if not 0.0 <= reward <= 1.0:
-                        raise ValueError(f"reward must lie in [0, 1], got {reward!r}")
-                    m = (mean * n + reward) / n1
-                    if n1 >= check:
-                        rad = sqrt(half / n1)
-                        if clean and abs(m - mu) > rad:
-                            clean = False
-                        if m + rad < reference or n1 == budget:
-                            last = reward
-                            break
-                        check = _next_check(n1, m, rad, reference, half, budget, mu if clean else None)
-                    n, mean = n1, m
-                if n > first:
-                    current.radius = sqrt(half / n)
-                n = int(n)
-                current.n, current.mean_cur = n, mean
-                current.t += n - first
-                t += n - first
-                report = CONTINUE
-                if last is not None:
-                    report = observe(last)
-                    t += 1
-            else:
-                while True:
-                    report = observe(draw(arm))
-                    t += 1
-                    if report is not CONTINUE or t == stop:
-                        break
-
+            if not 0 <= arm < n_arms:
+                raise IndexError(f"policy selected arm {arm}, not one of 0..{n_arms - 1}")
+            served, report, clean = scan(arm, draw, stop - t, instance.means[arm] if clean else None)
+            t += served
             settle(arm, start, t)
-            if round_based:
-                scanned.append(t - start)
-                if type(report) is RoundRecord:
-                    round_records.append(replace(report, level=level, pulls=tuple(scanned)))
-                    scanned = []
-                    if report.event == COMMITTED:
-                        break
+            tally[arm] += served
+            if type(report) is RoundRecord:
+                round_records.append(replace(report, level=level, pulls=tuple(tally)))
+                tally = [0] * n_arms
+                if report.event == COMMITTED:
+                    break
 
         if t < level_end:  # committed: skip the rest of the level
             stream.skip(current.best, level_end - t)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import constbandit.policies as policies
 import constbandit.simulator as simulator
 from constbandit import (
     ADAPTIVE_RATIO,
@@ -23,6 +24,7 @@ from constbandit import (
     RewardStream,
     RoundRecord,
     Rule,
+    Ucb1Policy,
     beta_arm,
     bernoulli,
     check_lemma_assertions,
@@ -239,14 +241,14 @@ def assert_matches_step_driven(cfg, inst, horizon, seed):
         final = (policy.level, policy.level_horizon, policy.t_total)
         assert final == (oracle.level, oracle.level_horizon, oracle.t_total)
         assert policy.t_total == horizon
-    if cfg.name != "ucb1":  # every register, mid-arm ones included, as stepping leaves it
-        (policy,) = made
-        inner, oracle_inner = (policy.inner, oracle.inner) if cfg.name == "doubling" else (policy, oracle)
-        registers = ConstSpacePolicy.REGISTERS
-        # repr, so a type counts too: 5.0 for 5 fails, which == would pass
-        assert [repr(getattr(inner, r)) for r in registers] == [
-            repr(getattr(oracle_inner, r)) for r in registers
-        ]
+    # Every register, mid-arm ones and UCB1's tables included, as stepping leaves it.
+    (policy,) = made
+    inner, oracle_inner = (policy.inner, oracle.inner) if cfg.name == "doubling" else (policy, oracle)
+    registers = ConstSpacePolicy.REGISTERS
+    if cfg.name == "ucb1":
+        registers = ("counts", "means", "t", "arm", "rival", "bound", "bound2", "until")
+    # repr, so a type counts too: 5.0 for 5 fails, which == would pass
+    assert [repr(getattr(inner, r)) for r in registers] == [repr(getattr(oracle_inner, r)) for r in registers]
     ticks = sorted({min(2**k, horizon) for k in range(horizon.bit_length() + 1)})
     assert [tick for tick, _ in trace.trajectory] == ticks
     for tick, regret in trace.trajectory:  # pseudo_regret of the oracle's pulls so far, bit for bit
@@ -325,6 +327,24 @@ def test_reward_outside_unit_interval_raises(monkeypatch, bad_pull, bad):
         run_episode(cfg, inst, 12, 0)
     with pytest.raises(ValueError) as expected:
         step_driven(cfg, inst, 12, 0)
+    assert str(raised.value) == str(expected.value)
+
+
+# Arm 0's pulls 1 and 2 reach observe (the first pass, then a pull the scan's
+# index test does not apply); the scan applies pulls 31 and 300 itself.
+@pytest.mark.parametrize("bad_pull", [1, 2, 31, 300])
+def test_ucb1_reward_outside_unit_interval_raises(monkeypatch, bad_pull):
+    def bad_draw(self, arm):
+        drawn = vars(self).setdefault("drawn", [0, 0])
+        drawn[arm] += 1
+        return 1.5 if (arm, drawn[arm]) == (0, bad_pull) else (0.9, 0.2)[arm]
+
+    monkeypatch.setattr(RewardStream, "draw", bad_draw)
+    cfg, inst = PolicyConfig("ucb1"), make_custom([0.9, 0.2], kind="point")
+    with pytest.raises(ValueError, match=r"reward must lie in \[0, 1\]") as raised:
+        run_episode(cfg, inst, 1000, 0)
+    with pytest.raises(ValueError) as expected:
+        step_driven(cfg, inst, 1000, 0)
     assert str(raised.value) == str(expected.value)
 
 
@@ -451,7 +471,7 @@ def test_no_check_fires_inside_a_check_window(
     mu = min(1.0, max(0.0, m + toward * rad)) if clean else None
     assume(not m + rad < reference)
     assume(mu is None or not abs(m - mu) > rad)
-    check = simulator._next_check(k, m, rad, reference, half, budget, mu)
+    check = policies._next_check(k, m, rad, reference, half, budget, mu)
     assert k + 1.0 <= check <= budget and check == int(check)
 
     rng = random.Random(seed)
@@ -487,6 +507,29 @@ def test_float_counts_compute_what_int_counts_do(n, m, x, log_inv_delta, budget)
     assert repr(x / n) == repr(x / float(n))
     assert (log_inv_delta / 2.0) / float(n) == log_inv_delta / (2.0 * n)
     assert float(budget) != float(n) and budget != n
+
+
+@example(t1=2**53 - 2, dt=1, n=1, mean=0.0)
+@example(t1=2**44 - 1, dt=1, n=3, mean=0.25)
+@example(t1=1, dt=0, n=1, mean=1.0)
+@given(
+    t1=st.integers(1, 2**53 - 1),
+    dt=st.one_of(st.integers(0, 64), st.integers(0, 2**53)),
+    n=st.integers(1, 2**53 - 1),
+    mean=st.floats(0.0, 1.0),
+)
+def test_ucb1_scan_test_implies_observes(t1, dt, n, mean):
+    # Ucb1Policy.scan tests every pull of a stretch with c0 = 2.0 * log(t1),
+    # taken at the stretch's first pull, and a float count; observe tests
+    # pull t >= t1 with 2.0 * log(t) and an int count. The cheap index is
+    # never above observe's, so any bound the cheap test clears, observe's
+    # test clears too, down to the tightest one.
+    t = min(t1 + dt, 2**53 - 1)
+    cheap = mean + math.sqrt(2.0 * math.log(t1) / float(n))
+    exact = mean + math.sqrt(2.0 * math.log(t) / n)
+    assert exact >= cheap
+    bound = math.nextafter(cheap, -math.inf)
+    assert cheap > bound and exact > bound
 
 
 # Means 0.9, 0.72, 0.3, 0.2, 0.1 (best arm moved for the point masses): the
@@ -675,14 +718,16 @@ def test_doubling_committed_levels_exploit_in_bulk(monkeypatch):
     assert_matches_step_driven(cfg, inst, 20000, 0)
 
 
-@pytest.mark.parametrize("name", ["constspace", "doubling"])
+@pytest.mark.parametrize("name", ["constspace", "doubling", "ucb1"])
 def test_episode_selects_once_per_arm_scan(monkeypatch, name):
     # The step-driven path selected and observed once per pull. The episode
     # loop draws every stepped pull but selects once per arm scan, so at most
     # once per transition report plus once per level (for the scan the level
-    # ends in), and hands observe only the pull that ends an arm or a round.
+    # ends in). A round-based scan hands observe only the pull that ends an
+    # arm or a round; UCB1's hands it the pulls its cheap test cannot apply.
     calls = {"select": 0, "observe": 0, "transitions": 0, "draws": 0, "skipped": 0}
-    real_select, real_observe = ConstSpacePolicy.select_arm, ConstSpacePolicy.observe
+    policy_class = Ucb1Policy if name == "ucb1" else ConstSpacePolicy
+    real_select, real_observe = policy_class.select_arm, policy_class.observe
     real_draw, real_skip = RewardStream.draw, RewardStream.skip
 
     def counting_select(self):
@@ -703,15 +748,49 @@ def test_episode_selects_once_per_arm_scan(monkeypatch, name):
         calls["skipped"] += n
         real_skip(self, arm, n)
 
-    monkeypatch.setattr(ConstSpacePolicy, "select_arm", counting_select)
-    monkeypatch.setattr(ConstSpacePolicy, "observe", counting_observe)
+    monkeypatch.setattr(policy_class, "select_arm", counting_select)
+    monkeypatch.setattr(policy_class, "observe", counting_observe)
     monkeypatch.setattr(RewardStream, "draw", counting_draw)
     monkeypatch.setattr(RewardStream, "skip", counting_skip)
     trace = run_episode(PolicyConfig(name), make_linear_gaps(4), 10**4, 0)
     levels = len(trace.level_log) if trace.level_log else 1
     assert calls["draws"] + calls["skipped"] == trace.steps and calls["draws"] > 1000
-    assert calls["observe"] == calls["transitions"] >= 4
+    if name == "ucb1":
+        assert calls["draws"] == trace.steps and calls["observe"] < calls["draws"] / 4
+        assert calls["observe"] >= calls["transitions"] >= 4
+    else:
+        assert calls["observe"] == calls["transitions"] >= 4
     assert 0 < calls["select"] <= calls["transitions"] + levels
+
+
+@pytest.mark.parametrize("base", [ConstSpacePolicy, Ucb1Policy])
+@pytest.mark.parametrize("bad", [-1, 4])  # the instance has K = 4 arms
+def test_episode_rejects_an_arm_outside_the_instance(monkeypatch, base, bad):
+    # A policy that selects arm -1 or K must stop the episode with an
+    # IndexError before its scan runs: no draw is made, and no pull is served,
+    # so none can be booked in the tallies, the round tallies or the regret
+    # checkpoints, which are settled only from what a scan serves.
+    inst = make_linear_gaps(4)
+    scans, draws = [], []
+
+    class Faulty(base):
+        def select_arm(self):
+            return bad
+
+        def scan(self, *args):
+            scans.append(args)
+            return super().scan(*args)
+
+    def counting_draw(self, arm):
+        draws.append(arm)
+        raise AssertionError("drew a reward for a bad arm")
+
+    monkeypatch.setattr(policies, base.__name__, Faulty)  # the class make_policy builds
+    monkeypatch.setattr(RewardStream, "draw", counting_draw)
+    cfg = PolicyConfig("ucb1" if base is Ucb1Policy else "constspace")
+    with pytest.raises(IndexError, match=rf"policy selected arm {bad}, not one of 0\.\.3"):
+        run_episode(cfg, inst, 100, 0)
+    assert scans == [] and draws == []
 
 
 def test_pseudo_regret_arithmetic():
