@@ -7,8 +7,10 @@ per-arm reward sequences. This keeps cross-policy comparisons
 deterministic and lower-variance. Draws are buffered in chunks of
 ``_CHUNK``; the chunk size sets only the cost of a refill and the memory a
 stream holds, not the values, since a bernoulli draw takes one generator
-output and numpy's beta sampler draws one element at a time. Golden-value
-tests freeze the draws at several pull indices.
+output and numpy's beta sampler draws one element at a time. A bernoulli
+chunk holds references to two shared floats, 0.0 and 1.0, so it costs one
+list of pointers, not a new float object per draw. Golden-value tests
+freeze the draws at several pull indices.
 
 Instance presets are named by a spec such as ``linear(K=16)`` or
 ``custom(means=0.9|0.6,kind=point)``, or by the same keys in a config
@@ -28,12 +30,24 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import islice
 from operator import length_hint
 
 _CHUNK = 1024
 _SPENT = iter(())  # the iterator of every arm not drawn yet
+
+
+@cache
+def _bits():
+    """The object array ``[0.0, 1.0]`` every bernoulli chunk gathers from, so
+    its entries are references to two shared floats. Read-only, since every
+    stream shares it."""
+    import numpy as np
+
+    bits = np.array([0.0, 1.0], dtype=object)
+    bits.flags.writeable = False
+    return bits
 
 
 @dataclass(frozen=True)
@@ -117,7 +131,9 @@ class RewardStream:
 
     Per arm: a numpy generator in ``_gens`` (bernoulli and beta arms), and
     in slot ``arm`` of the list ``_iters`` an iterator over the rest of its
-    1024-draw chunk, a list of Python floats. The iterator is the only
+    1024-draw chunk, a list of Python floats. A bernoulli chunk gathers
+    them from ``_bits()``, by the uint8 view of ``random < p``, so each
+    entry is one of two shared objects, 0.0 or 1.0. The iterator is the only
     record of the arm's place: its index is ``_CHUNK`` less the items left.
     The slot of an arm not drawn yet holds the spent ``_SPENT``, so the arm
     sits at the end of a chunk. A buffered ``draw`` of an arm ``>= 0`` is
@@ -161,7 +177,9 @@ class RewardStream:
                 # drawing them would.
                 if chunks > 1:
                     gen.bit_generator.advance(_CHUNK * (chunks - 1))
-                chunk = (gen.random(_CHUNK) < spec.a).astype(np.float64).tolist()
+                # Gather by the uint8 view: indexing with the bool mask
+                # itself would select entries, not map them.
+                chunk = _bits()[(gen.random(_CHUNK) < spec.a).view(np.uint8)].tolist()
             else:
                 for _ in range(chunks):
                     sample = gen.beta(spec.a, spec.b, size=_CHUNK)

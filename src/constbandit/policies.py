@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import count, islice
 from math import floor, log, sqrt
 
 from .confidence import Rule, round_budget
@@ -343,12 +344,15 @@ class ConstSpacePolicy:
 
         The scan carries ``n``, ``n1`` and ``budget`` as floats, because
         float-with-float arithmetic is the faster path, and writes ``int(n)``
-        back. The values are those of ``observe``'s int counts, bit for bit:
-        a count is at most the pulls stepped, an integer below 2**53, which
-        converts to float exactly, and ``observe``'s mixed int-float
-        arithmetic converts its int count the same way. A budget of 2**53 or
-        more equals no reachable count, whether compared as an int or as a
-        float. Halving ``log_inv_delta`` is exact too, so ``(L / 2.0) / n1``
+        back. ``n1`` comes from ``itertools.count(n + 1.0)``, which adds 1.0
+        to the last count, the cheapest way to make a float count. The values
+        are those of ``observe``'s int counts, bit for bit: a count is at
+        most the pulls stepped, an integer below 2**53, and every integer in
+        that range is exactly a float, so converting it and adding 1.0 to
+        the one before are both exact; ``observe``'s mixed int-float arithmetic
+        converts its int count the same way. A budget of 2**53 or more
+        equals no reachable count, whether compared as an int or as a float.
+        Halving ``log_inv_delta`` is exact too, so ``(L / 2.0) / n1``
         rounds the same real number as ``observe``'s ``L / (2.0 * n1)``.
         """
         clean, mean = mu is not None, self.mean_cur
@@ -356,7 +360,7 @@ class ConstSpacePolicy:
         n, budget, reference = float(first), float(self.budget), self.reference
         half = self.log_inv_delta / 2.0
         last, check = None, n + 1.0
-        for n1 in map(float, range(first + 1, hi + 1)):
+        for n1 in islice(count(n + 1.0), hi - first):
             reward = draw(arm)
             if not 0.0 <= reward <= 1.0:
                 raise ValueError(f"reward must lie in [0, 1], got {reward!r}")
@@ -631,10 +635,10 @@ class Ucb1Policy:
         sqrt(c0 / n)`` with ``c0 = 2.0 * log(t1)``, is above ``bound``, the
         scan applies a stretch of pulls in locals under the caller contract
         above: one ``draw``, the ``[0, 1]`` check and the recurrence ``(mean
-        * n + reward) / n1`` a pull, on float counts, then the test ``m +
-        sqrt(c0 / n1) > bound``. It writes ``counts[arm]`` (an int),
-        ``means[arm]`` and ``t`` back, and the pull that fails the test goes
-        to ``observe``, which recomputes it exactly. So do the first
+        * n + reward) / n1`` a pull, on float counts from ``count(n + 1.0)``,
+        then the test ``m + sqrt(c0 / n1) > bound``. It writes
+        ``counts[arm]`` (an int), ``means[arm]`` and ``t`` back, and the pull
+        that fails the test goes to ``observe``, which recomputes it exactly. So do the first
         ``n_arms`` pulls, any after ``until``, and a pull whose arm's index
         was already at or below ``bound``, which would most likely fail the
         test after a stretch's setup.
@@ -657,7 +661,7 @@ class Ucb1Policy:
             t, first = self.t, counts[arm]
             n, mean, bound, c0 = float(first), means[arm], self.bound, 2.0 * log(t + 1)
             if n_arms <= t < self.until and mean + sqrt(c0 / n) > bound:
-                for n1 in map(float, range(first + 1, first + 1 + min(self.until - t, limit - served))):
+                for n1 in islice(count(n + 1.0), min(self.until - t, limit - served)):
                     reward = draw(arm)
                     if not 0.0 <= reward <= 1.0:
                         raise ValueError(f"reward must lie in [0, 1], got {reward!r}")

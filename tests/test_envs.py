@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from operator import length_hint
 
 import numpy as np
@@ -289,8 +290,11 @@ _EDGE_PLAN = (
 
 @pytest.mark.parametrize(
     "arm",
-    [bernoulli(0.3), beta_arm(2.0, 3.0), beta_arm(0.5, 0.7), beta_arm(0.3, 5.0), beta_arm(1.0, 1.0)],
-    ids=["bernoulli", "beta(2,3)", "beta(.5,.7)", "beta(.3,5)", "beta(1,1)"],
+    [
+        bernoulli(0.3), bernoulli(0.0), bernoulli(1.0),
+        beta_arm(2.0, 3.0), beta_arm(0.5, 0.7), beta_arm(0.3, 5.0), beta_arm(1.0, 1.0),
+    ],
+    ids=["bernoulli", "bernoulli(0)", "bernoulli(1)", "beta(2,3)", "beta(.5,.7)", "beta(.3,5)", "beta(1,1)"],
 )
 def test_draws_and_skips_across_chunk_edges_match_numpy(arm):
     # The oracle calls numpy directly on the arm's substream, all at once,
@@ -311,6 +315,23 @@ def test_draws_and_skips_across_chunk_edges_match_numpy(arm):
         else:
             stream.skip(index, n)
         pull += n
+
+
+def test_bernoulli_chunks_share_their_reward_objects():
+    # A chunk holds references to two shared floats, so a many-arms stream
+    # holds about one list of pointers per drawn arm (about 8 KB), not 1024
+    # float objects besides (about 32 KB in all).
+    inst = make_linear_gaps(256)
+    RewardStream(inst, 1).draw(0)  # load numpy.random before tracing
+    tracemalloc.start()
+    try:
+        stream = RewardStream(inst, 7)
+        for arm in range(inst.n_arms):
+            stream.draw(arm)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 3_000_000, held
 
 
 # Pull index -> reward for seed 42, recorded from the numpy-array buffer of
