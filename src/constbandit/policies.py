@@ -1,12 +1,13 @@
 """Step-driven bandit policies with word-level state accounting.
 
-All policies sit behind one interface: ``select_arm()`` is a pure read
-returning the arm to pull next, ``observe(reward)`` consumes the reward of
-that arm and returns a transition report, ``state_words()`` counts the
-machine-word registers retained between steps. The constant-space and
-UCB1 policies also own a segment kernel, ``scan(arm, draw, limit, mu)``,
-that pulls one arm until its scan ends, applying the CONTINUE pulls it can
-prove itself and handing ``observe`` the rest.
+``state_words()`` counts the machine-word registers a policy retains
+between steps. The constant-space and UCB1 policies are stepped alike:
+``select_arm()`` is a pure read returning the arm to pull next,
+``observe(reward)`` consumes the reward of that arm and returns a
+transition report, and the segment kernel ``scan(arm, draw, limit, mu)``
+pulls one arm until its scan ends, applying the CONTINUE pulls it can
+prove itself and handing ``observe`` the rest. The doubling wrapper's
+``levels()`` hands out a constant-space policy per level to step.
 
 The round-based constant-space policy scans arms one at a time at a target
 half-width ``g``, keeping only the best and second-best round means plus
@@ -446,7 +447,8 @@ class DoublingPolicy:
 
     Level l runs the inner policy for exactly T_l steps under the default
     ``Rule()``, so with a fresh ``inner.delta`` = 1/T_l^3, starting from
-    T_0 = 10 and squaring, so T_l = 10^(2^l).
+    T_0 = 10 and squaring, so T_l = 10^(2^l). The wrapper is stepped only
+    through ``levels()``.
     """
 
     INITIAL_HORIZON = 10
@@ -478,34 +480,21 @@ class DoublingPolicy:
             covered += level_horizon
             level_horizon = level_horizon**2
 
-    def select_arm(self) -> int:
-        return self.inner.select_arm()
-
-    def observe(self, reward: float):
-        report = self.inner.observe(reward)
-        self.t_total += 1
-        if self.inner.t >= self.level_horizon:
-            self._next_level()
-        return report
-
-    def _next_level(self) -> None:
-        self.level += 1
-        self.level_horizon = self.level_horizon**2
-        self.inner = ConstSpacePolicy(self.n_arms, self.level_horizon, self.schedule)
-
     def levels(self):
         """Yield each level's inner policy, a known-horizon episode that the
-        caller steps directly instead of through ``select_arm``/``observe``.
-        A level's steps are counted once, when the caller asks for the next
-        level, which comes only once the current one has run its full
-        horizon."""
+        caller steps itself. A level's steps are counted once, when the
+        caller asks for the next level, which comes only once the current
+        one has run its full horizon: the horizon is squared and a fresh
+        inner policy runs it."""
         while True:
             inner = self.inner
             yield inner
             self.t_total += inner.t
             if inner.t < self.level_horizon:
                 return
-            self._next_level()
+            self.level += 1
+            self.level_horizon = self.level_horizon**2
+            self.inner = ConstSpacePolicy(self.n_arms, self.level_horizon, self.schedule)
 
     def state_words(self) -> int:
         return self.inner.state_words() + _state_words(self, scalars_only=True)

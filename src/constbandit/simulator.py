@@ -57,8 +57,8 @@ def run_episode(
     """Drive one policy through ``horizon`` select/sample/observe steps.
 
     The episode is a loop over levels, each a known-horizon episode: the
-    policy itself, or each restart of the doubling wrapper, whose inner
-    policy is stepped directly (the wrapper only sequences levels). A level is
+    policy itself, or each level that the doubling wrapper's ``levels()``
+    hands out, whose inner policy is stepped directly. A level is
     stepped until it commits, and the rest of it is skipped in bulk:
     exploitation rewards never touch the policy, and ``RewardStream.skip``
     leaves the stream where drawing them would, so the trace is
@@ -432,7 +432,10 @@ def memory_audit(policy_configs, K_grid) -> list[MemoryAuditRow]:
 
     The episode is deliberately short; the point is to sample the register
     count while the policy actually runs, catching transient per-arm
-    allocation.
+    allocation. Levels are walked as in ``run_episode`` (the doubling
+    wrapper's until each has run its horizon, so the audit crosses into
+    level 1), each stepped by ``select_arm``/``observe``; the whole
+    policy's words are sampled after every pull.
     """
     if not K_grid:
         raise ValueError("K grid must be non-empty")
@@ -444,9 +447,13 @@ def memory_audit(policy_configs, K_grid) -> list[MemoryAuditRow]:
             at_reset = policy.state_words()
             peak = at_reset
             stream = RewardStream(instances[K], AUDIT_SEED)
-            for _ in range(AUDIT_STEPS):
-                arm = policy.select_arm()
-                policy.observe(stream.draw(arm))
-                peak = max(peak, policy.state_words())
+            doubling = isinstance(policy, DoublingPolicy)
+            left = AUDIT_STEPS
+            for current in policy.levels() if doubling else (policy,):
+                steps = min(left, current.horizon - current.t) if doubling else left
+                for _ in range(steps):
+                    current.observe(stream.draw(current.select_arm()))
+                    peak = max(peak, policy.state_words())
+                left -= steps
             rows.append(MemoryAuditRow(cfg.name, cfg.schedule_label(), K, at_reset, peak))
     return rows

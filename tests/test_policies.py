@@ -391,14 +391,18 @@ def test_ucb1_exact_tie_with_rival_runs_the_pass_and_lowest_id_wins():
 
 def test_doubling_level_schedule():
     policy = DoublingPolicy(2)
+    levels = policy.levels()
     assert policy.level == 0 and policy.level_horizon == 10
-    assert policy.inner.delta == 1e-3
+    first = next(levels)
+    assert first is policy.inner and first.delta == 1e-3
     for _ in range(10):
-        policy.observe(0.5)
+        first.observe(0.5)
+    second = next(levels)
     assert policy.level == 1 and policy.level_horizon == 100
-    assert policy.inner.delta == 1e-6
+    assert second is policy.inner and second.delta == 1e-6
     for _ in range(100):
-        policy.observe(0.5)
+        second.observe(0.5)
+    next(levels)
     assert policy.level == 2 and policy.level_horizon == 10**4
     assert policy.t_total == 110
 
@@ -538,6 +542,8 @@ def test_segment_contract_sees_rule_outs_and_commits():
 def test_make_policy_dispatch():
     assert isinstance(make_policy(PolicyConfig("ucb1"), 3, 100), Ucb1Policy)
     assert isinstance(make_policy(PolicyConfig("doubling"), 3, 100), DoublingPolicy)
+    for name in ("select_arm", "observe", "_next_level"):  # stepped only through levels()
+        assert not hasattr(DoublingPolicy, name)
     assert isinstance(make_policy(PolicyConfig("constspace"), 3, 100), ConstSpacePolicy)
     policy = make_policy(PolicyConfig("constspace", rule=Rule(1e-4)), 3, 100)
     assert policy.delta == 1e-4

@@ -163,29 +163,28 @@ def step_driven(cfg, instance, horizon, seed):
     ``horizon`` steps, with no bulk exploitation fast-forward.
 
     From its own step log it rebuilds what the harness reports. For the
-    doubling wrapper: (level, level horizon, steps run) per level, watching
-    ``DoublingPolicy.level`` change after each step. Per round record: the
-    level it closed in and each arm's pulls in the round. The largest number
-    of rounds closed in one level, counted from those records. The clean event:
+    doubling wrapper it chains its own ``ConstSpacePolicy`` levels, never
+    the wrapper's: T_0 = ``DoublingPolicy.INITIAL_HORIZON``, squared with a
+    fresh policy as soon as a level has run its horizon, logging (level,
+    level horizon, steps run) per level. Per round record: the level it
+    closed in and each arm's pulls in the round. The largest number of
+    rounds closed in one level, counted from those records. The clean event:
     on every explore pull, the arm's running mean in the round,
     m_n = (m_{n-1} (n - 1) + reward) / n, stays within sqrt(ln(1/delta) / (2n))
     of its true mean, with the delta of the pull's level. Returns the policy
-    too, for its final state."""
-    policy = make_policy(cfg, instance.n_arms, horizon)
-    doubling = isinstance(policy, DoublingPolicy)
-    stream = RewardStream(instance, seed)
+    it stepped last too, for its final state."""
     K = instance.n_arms
+    doubling = cfg.name == "doubling"
+    level, level_horizon = 0, DoublingPolicy.INITIAL_HORIZON
+    policy = ConstSpacePolicy(K, level_horizon, cfg.schedule) if doubling else make_policy(cfg, K, horizon)
+    stream = RewardStream(instance, seed)
     actions, records = [], []
     level_log = [] if doubling else None
     level_steps = 0
     clean = True
     pulls, means = [0] * K, [0.0] * K
     for _ in range(horizon):
-        level = policy.level if doubling else 0
-        level_horizon = policy.level_horizon if doubling else horizon
-        inner = policy.inner if doubling else policy
-        phase = getattr(inner, "phase", None)
-        exploring = phase == EXPLORE
+        exploring = getattr(policy, "phase", None) == EXPLORE
         arm = policy.select_arm()
         reward = stream.draw(arm)
         report = policy.observe(reward)
@@ -194,21 +193,21 @@ def step_driven(cfg, instance, horizon, seed):
             n = pulls[arm] + 1
             pulls[arm] = n
             means[arm] = (means[arm] * (n - 1) + reward) / n
-            radius = math.sqrt(inner.log_inv_delta / (2.0 * n))
+            radius = math.sqrt(policy.log_inv_delta / (2.0 * n))
             if abs(means[arm] - instance.means[arm]) > radius:
                 clean = False
         if isinstance(report, RoundRecord):
             records.append(replace(report, level=level, pulls=tuple(pulls)))
             pulls, means = [0] * K, [0.0] * K
         level_steps += 1
-        if doubling and policy.level != level:
+        if doubling and policy.t == level_horizon:
             level_log.append((level, level_horizon, level_steps))
-            level_steps = 0
+            level, level_horizon, level_steps = level + 1, level_horizon**2, 0
+            policy = ConstSpacePolicy(K, level_horizon, cfg.schedule)
             pulls, means = [0] * K, [0.0] * K
     if doubling:
-        level_log.append((policy.level, policy.level_horizon, level_steps))
-    inner = policy.inner if doubling else policy
-    committed = inner.best if getattr(inner, "phase", None) == EXPLOIT else None
+        level_log.append((level, level_horizon, level_steps))
+    committed = policy.best if getattr(policy, "phase", None) == EXPLOIT else None
     most_rounds = max(Counter(rec.level for rec in records).values(), default=0)
     return actions, committed, records, level_log, clean, most_rounds, policy
 
@@ -239,16 +238,17 @@ def assert_matches_step_driven(cfg, inst, horizon, seed):
     if cfg.name == "doubling":
         (policy,) = made
         final = (policy.level, policy.level_horizon, policy.t_total)
-        assert final == (oracle.level, oracle.level_horizon, oracle.t_total)
+        oracle_level, oracle_level_horizon, _ = level_log[-1]
+        assert final == (oracle_level, oracle_level_horizon, sum(steps for _, _, steps in level_log))
         assert policy.t_total == horizon
     # Every register, mid-arm ones and UCB1's tables included, as stepping leaves it.
     (policy,) = made
-    inner, oracle_inner = (policy.inner, oracle.inner) if cfg.name == "doubling" else (policy, oracle)
+    inner = policy.inner if cfg.name == "doubling" else policy
     registers = ConstSpacePolicy.REGISTERS
     if cfg.name == "ucb1":
         registers = ("counts", "means", "t", "arm", "rival", "bound", "bound2", "until")
     # repr, so a type counts too: 5.0 for 5 fails, which == would pass
-    assert [repr(getattr(inner, r)) for r in registers] == [repr(getattr(oracle_inner, r)) for r in registers]
+    assert [repr(getattr(inner, r)) for r in registers] == [repr(getattr(oracle, r)) for r in registers]
     ticks = sorted({min(2**k, horizon) for k in range(horizon.bit_length() + 1)})
     assert [tick for tick, _ in trace.trajectory] == ticks
     for tick, regret in trace.trajectory:  # pseudo_regret of the oracle's pulls so far, bit for bit
@@ -995,13 +995,26 @@ def test_run_suite_records_cell_failure():
     assert math.isnan(reports[0].bound_value)
 
 
-def test_memory_audit_rows():
+def test_memory_audit_rows(monkeypatch):
     cfgs = [
         PolicyConfig("constspace"),
         PolicyConfig("doubling"),
         PolicyConfig("ucb1"),
     ]
+    made = []
+
+    def keep_policy(*args):  # the audited policies, for their final state
+        made.append(make_policy(*args))
+        return made[-1]
+
+    monkeypatch.setattr(simulator, "make_policy", keep_policy)
     rows = memory_audit(cfgs, [2, 10, 100])
+    # 64 pulls cross the doubling wrapper from level 0 (T_0 = 10) into level 1.
+    wrappers = [p for p in made if isinstance(p, DoublingPolicy)]
+    assert len(wrappers) == 3 and simulator.AUDIT_STEPS == 64
+    for wrapper in wrappers:
+        assert (wrapper.level, wrapper.level_horizon, wrapper.inner.t) == (1, 100, 54)
+        assert wrapper.t_total == simulator.AUDIT_STEPS
     by_policy = {}
     for row in rows:
         by_policy.setdefault(row.policy, []).append(row)
