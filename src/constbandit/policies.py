@@ -333,24 +333,28 @@ class ConstSpacePolicy:
         ``(mean * n + reward) / n1``. The radius ``sqrt((log_inv_delta / 2.0)
         / n1)``, the clean check (running mean against radius) and the test
         for a rule-out or the budget run only on checked pulls, the first of
-        the scan and each one ``_next_check`` returns; any other pull costs
-        one compare with the next checked pull, and ``_next_check`` proves
-        that no test could fire on it. On the checked pull that rules the arm
-        out or reaches its budget, the scan writes ``n``, ``mean_cur``,
-        ``radius`` (``sqrt(half / n)``, once) and ``t`` back and hands that
-        reward to ``observe``, which reports the transition or closes the
-        round. A scan that ends at the limit writes back and calls nothing.
-        Once the clean check fails, checked pulls test only the rule-out and
-        the budget.
+        the scan and each one ``_next_check`` returns. ``_next_check`` proves
+        that no test could fire on the pulls between two checked pulls, so
+        that window (cut at the limit) runs in an inner loop, two pulls per
+        iteration plus one when its length is odd, with the same draw,
+        check and recurrence per pull; each reward is checked before the
+        next is drawn. On the checked pull that rules the arm out or reaches
+        its budget, the scan writes ``n``, ``mean_cur``, ``radius``
+        (``sqrt(half / n)``, once) and ``t`` back and hands that reward to
+        ``observe``, which reports the transition or closes the round. A
+        scan that ends at the limit writes back and calls nothing. Once the
+        clean check fails, checked pulls test only the rule-out and the
+        budget.
 
         The scan carries ``n``, ``n1`` and ``budget`` as floats, because
         float-with-float arithmetic is the faster path, and writes ``int(n)``
-        back. ``n1`` comes from ``itertools.count(n + 1.0)``, which adds 1.0
-        to the last count, the cheapest way to make a float count. The values
-        are those of ``observe``'s int counts, bit for bit: a count is at
-        most the pulls stepped, an integer below 2**53, and every integer in
-        that range is exactly a float, so converting it and adding 1.0 to
-        the one before are both exact; ``observe``'s mixed int-float arithmetic
+        back. Each count adds 1.0 to the one before; a window's pairs take
+        their first counts from ``itertools.count(n + 1.0, 2.0)``, which
+        adds 2.0, the cheapest way to make float counts. The values are
+        those of ``observe``'s int counts, bit for bit: a count is at most
+        the pulls stepped, an integer below 2**53, and every integer in that
+        range is exactly a float, so converting it and adding 1.0 or 2.0 to
+        another are all exact; ``observe``'s mixed int-float arithmetic
         converts its int count the same way. A budget of 2**53 or more
         equals no reachable count, whether compared as an int or as a float.
         Halving ``log_inv_delta`` is exact too, so ``(L / 2.0) / n1``
@@ -358,23 +362,40 @@ class ConstSpacePolicy:
         """
         clean, mean = mu is not None, self.mean_cur
         first, hi = self.n, min(self.budget, self.n + limit)
-        n, budget, reference = float(first), float(self.budget), self.reference
+        n, stop, budget, reference = float(first), float(hi), float(self.budget), self.reference
         half = self.log_inv_delta / 2.0
-        last, check = None, n + 1.0
-        for n1 in islice(count(n + 1.0), hi - first):
+        last = None
+        while n < stop:
+            n1 = n + 1.0
             reward = draw(arm)
             if not 0.0 <= reward <= 1.0:
                 raise ValueError(f"reward must lie in [0, 1], got {reward!r}")
             m = (mean * n + reward) / n1
-            if n1 >= check:
-                rad = sqrt(half / n1)
-                if clean and abs(m - mu) > rad:
-                    clean = False
-                if m + rad < reference or n1 == budget:
-                    last = reward
-                    break
-                check = _next_check(n1, m, rad, reference, half, budget, mu if clean else None)
+            rad = sqrt(half / n1)
+            if clean and abs(m - mu) > rad:
+                clean = False
+            if m + rad < reference or n1 == budget:
+                last = reward
+                break
+            check = _next_check(n1, m, rad, reference, half, budget, mu if clean else None)
             n, mean = n1, m
+            free = int(min(check - 1.0, stop) - n)
+            for n1 in islice(count(n + 1.0, 2.0), free >> 1):
+                reward = draw(arm)
+                if not 0.0 <= reward <= 1.0:
+                    raise ValueError(f"reward must lie in [0, 1], got {reward!r}")
+                mean = (mean * n + reward) / n1
+                n = n1 + 1.0
+                reward = draw(arm)
+                if not 0.0 <= reward <= 1.0:
+                    raise ValueError(f"reward must lie in [0, 1], got {reward!r}")
+                mean = (mean * n1 + reward) / n
+            if free & 1:
+                n1 = n + 1.0
+                reward = draw(arm)
+                if not 0.0 <= reward <= 1.0:
+                    raise ValueError(f"reward must lie in [0, 1], got {reward!r}")
+                n, mean = n1, (mean * n + reward) / n1
         if n > first:
             self.radius = sqrt(half / n)
         n = int(n)

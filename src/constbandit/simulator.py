@@ -421,8 +421,10 @@ class MemoryAuditRow:
     words_peak: int
 
 
-# The audited episode: AUDIT_STEPS pulls of a policy told AUDIT_HORIZON.
-AUDIT_STEPS = 64
+# The audited episode: AUDIT_STEPS pulls of a policy told AUDIT_HORIZON. Round
+# 1's budget at that horizon is 277 pulls, so 600 pulls end an arm's scan at
+# every K and close round 1 at K = 2.
+AUDIT_STEPS = 600
 AUDIT_HORIZON = 100_000
 AUDIT_SEED = 0
 
@@ -432,9 +434,10 @@ def memory_audit(policy_configs, K_grid) -> list[MemoryAuditRow]:
 
     The episode is deliberately short; the point is to sample the register
     count while the policy actually runs, catching transient per-arm
-    allocation. Levels are walked as in ``run_episode`` (the doubling
+    allocation: every audited policy ends an arm's scan, and at K = 2 closes
+    a round. Levels are walked as in ``run_episode`` (the doubling
     wrapper's until each has run its horizon, so the audit crosses into
-    level 1), each stepped by ``select_arm``/``observe``; the whole
+    level 2), each stepped by ``select_arm``/``observe``; the whole
     policy's words are sampled after every pull.
     """
     if not K_grid:

@@ -15,6 +15,7 @@ import constbandit.policies as policies
 import constbandit.simulator as simulator
 from constbandit import (
     ADAPTIVE_RATIO,
+    ARM_DONE,
     CONTINUE,
     BanditInstance,
     ConstSpacePolicy,
@@ -349,14 +350,19 @@ def test_ucb1_reward_outside_unit_interval_raises(monkeypatch, bad_pull):
 
 
 def _script_arm_0(monkeypatch, rewards):
-    """Arm 0's i-th draw (from 1) returns ``rewards(i)``; every other arm draws 0.5."""
+    """Arm 0's i-th draw (from 1) returns ``rewards(i)``; every other arm draws 0.5.
+    Returns the per-arm draw counters of the streams made, in order."""
+    counters = []
 
     def scripted_draw(self, arm):
-        drawn = vars(self).setdefault("scripted_draws", Counter())
+        if "scripted_draws" not in vars(self):
+            counters.append(vars(self).setdefault("scripted_draws", Counter()))
+        drawn = self.scripted_draws
         drawn[arm] += 1
         return rewards(drawn[arm]) if arm == 0 else 0.5
 
     monkeypatch.setattr(RewardStream, "draw", scripted_draw)
+    return counters
 
 
 def _breaches(rewards, mu, log_inv_delta, pulls):
@@ -423,6 +429,99 @@ def test_rule_out_lands_on_its_first_pull_after_a_switch_to_zeros(monkeypatch, s
         mean = (mean * (n - 1) + rewards(111 + n)) / n
     assert second.pulls[0] == n < second.budget == 443
     assert trace.clean_event is False
+
+
+# Arm 0 pays 0.25, 0.75, 1.0, 0.0, 0.5 in turn, arm 1 pays 0.5, and both
+# point arms have mean 0.5. Under delta 1e-6 round 1 pulls each arm 111
+# times (t = 1..222) and cannot separate them, so round 2 scans arm 0 from
+# t = 223 against a finite reference, and T = 3000 ends in round 3.
+_CYCLE_RULE, _CYCLE_INSTANCE = Rule(1e-6), make_custom([0.5, 0.5], kind="point")
+
+
+def _cycle(i):
+    return (0.25, 0.75, 1.0, 0.0, 0.5)[i % 5]
+
+
+def _spy_next_check(monkeypatch):
+    """Record every ``_next_check`` call as (checked pull, next checked pull)."""
+    calls = []
+    next_check = policies._next_check
+
+    def spy(k, *args):
+        calls.append((k, next_check(k, *args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(policies, "_next_check", spy)
+    return calls
+
+
+def _round_2_window():
+    """The checked pull ``k`` and next checked pull ``c`` of the longest check
+    window in round 2's scan of arm 0 under ``_cycle``: its unchecked pulls
+    are arm 0's ``k + 1 .. c - 1`` of round 2, at t = 222 + n."""
+    with pytest.MonkeyPatch.context() as mp:
+        _script_arm_0(mp, _cycle)
+        calls = _spy_next_check(mp)
+        run_episode(PolicyConfig("constspace", rule=_CYCLE_RULE), _CYCLE_INSTANCE, 3000, 0)
+    scans = [i for i, (k, _) in enumerate(calls) if k == 1.0] + [len(calls)]
+    arm_0_round_2 = calls[scans[2] : scans[3]]
+    k, c = max(arm_0_round_2, key=lambda call: call[1] - call[0])
+    assert c - 1 - k >= 8  # room for a pair before and after the pulls tested
+    return int(k), int(c)
+
+
+def test_check_windows_run_to_the_next_checked_pull(monkeypatch):
+    # The scan runs a window's unchecked pulls two at a time plus one when
+    # the count is odd. Both kinds of window occur, and each checked pull
+    # after an arm's first is the one the window before it named.
+    _script_arm_0(monkeypatch, _cycle)
+    calls = _spy_next_check(monkeypatch)
+    trace = assert_matches_step_driven(PolicyConfig("constspace", rule=_CYCLE_RULE), _CYCLE_INSTANCE, 3000, 0)
+    assert [r.r for r in trace.round_log] == [1, 2] and trace.frozen
+    assert all(k == 1.0 or k == c_before for (_, c_before), (k, _) in zip(calls, calls[1:]))
+    assert {int(c - 1 - k) % 2 for k, c in calls} == {0, 1}
+    assert max(c - 1 - k for k, c in calls) >= 8
+
+
+@pytest.mark.parametrize(
+    "offset",
+    [
+        pytest.param(1, id="first_pull_of_first_pair"),
+        pytest.param(2, id="second_pull_of_first_pair"),
+        pytest.param(5, id="first_pull_of_third_pair"),
+        pytest.param(6, id="second_pull_of_third_pair"),
+        pytest.param(-1, id="last_unchecked_pull"),
+        pytest.param(0, id="next_checked_pull"),
+    ],
+)
+def test_level_stop_inside_a_check_window(monkeypatch, offset):
+    # The horizon ends the episode on round 2's pull k + offset of arm 0
+    # (offsets -1 and 0 count back from the next checked pull c), so the
+    # window's last pair is cut short or ends on a lone pull, and every
+    # register is written back as stepping leaves it.
+    k, c = _round_2_window()
+    stop = k + offset if offset > 0 else c + offset
+    _script_arm_0(monkeypatch, _cycle)
+    trace = assert_matches_step_driven(PolicyConfig("constspace", rule=_CYCLE_RULE), _CYCLE_INSTANCE, 222 + stop, 0)
+    assert trace.frozen and trace.pull_counts == [111 + stop, 111]
+
+
+@pytest.mark.parametrize("offset", [3, 4], ids=["first_pull_of_pair", "second_pull_of_pair"])
+@pytest.mark.parametrize("bad", [1.5, -0.25, math.nan])
+def test_bad_reward_inside_a_check_window_raises_before_the_next_draw(monkeypatch, offset, bad):
+    # Arm 0's draw of round 2's pull k + offset is out of [0, 1]: the scan
+    # raises observe's error, and it draws nothing after the bad reward.
+    k, _ = _round_2_window()
+    bad_draw = 111 + k + offset
+    counters = _script_arm_0(monkeypatch, lambda i: bad if i == bad_draw else _cycle(i))
+    cfg = PolicyConfig("constspace", rule=_CYCLE_RULE)
+    with pytest.raises(ValueError, match=r"reward must lie in \[0, 1\]") as raised:
+        run_episode(cfg, _CYCLE_INSTANCE, 3000, 0)
+    assert counters[0][0] == bad_draw
+    with pytest.raises(ValueError) as expected:
+        step_driven(cfg, _CYCLE_INSTANCE, 3000, 0)
+    assert counters[1][0] == bad_draw
+    assert str(raised.value) == str(expected.value)
 
 
 _RULE_HALVES = st.one_of(
@@ -1007,13 +1106,31 @@ def test_memory_audit_rows(monkeypatch):
         made.append(make_policy(*args))
         return made[-1]
 
+    transitions = {}  # K -> the audited constspace policy's reports other than CONTINUE
+    observe = ConstSpacePolicy.observe
+
+    def keep_transitions(self, reward):
+        report = observe(self, reward)
+        if report != CONTINUE and self.horizon == simulator.AUDIT_HORIZON:
+            transitions.setdefault(self.n_arms, []).append(report)
+        return report
+
     monkeypatch.setattr(simulator, "make_policy", keep_policy)
+    monkeypatch.setattr(ConstSpacePolicy, "observe", keep_transitions)
     rows = memory_audit(cfgs, [2, 10, 100])
-    # 64 pulls cross the doubling wrapper from level 0 (T_0 = 10) into level 1.
+    # 600 pulls of budget-277 scans end two arms at every K; at K = 2 the
+    # second closes round 1.
+    assert simulator.AUDIT_STEPS == 600
+    assert [transitions[K][0] for K in (2, 10, 100)] == [ARM_DONE] * 3
+    assert transitions[10] == transitions[100] == [ARM_DONE, ARM_DONE]
+    (record,) = transitions[2][1:]
+    assert type(record) is RoundRecord and (record.r, record.budget) == (1, 277)
+    # They cross the doubling wrapper from level 0 (T_0 = 10) through level 1
+    # (T_1 = 100) into level 2.
     wrappers = [p for p in made if isinstance(p, DoublingPolicy)]
-    assert len(wrappers) == 3 and simulator.AUDIT_STEPS == 64
+    assert len(wrappers) == 3
     for wrapper in wrappers:
-        assert (wrapper.level, wrapper.level_horizon, wrapper.inner.t) == (1, 100, 54)
+        assert (wrapper.level, wrapper.level_horizon, wrapper.inner.t) == (2, 10_000, 490)
         assert wrapper.t_total == simulator.AUDIT_STEPS
     by_policy = {}
     for row in rows:
